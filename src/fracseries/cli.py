@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ModelConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

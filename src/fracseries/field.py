@@ -14,6 +14,7 @@ with no expansion of f itself required.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .fracpoly import FractionalPolynomial, add_scaled, multiply_truncated
@@ -64,6 +65,55 @@ class PolynomialVectorField:
     def dimension(self) -> int:
         return len(self.equations)
 
+    @cached_property
+    def plan(self) -> "FieldPlan":
+        """This field compiled once, for `solve`, `evaluate_field` and RK4."""
+        return FieldPlan(self)
+
+
+class FieldPlan:
+    """A vector field compiled for repeated evaluation.
+
+    `nodes[k] = (parent, j)`: node k is node `parent` times y_j, node 0 is 1.
+    A monomial's state factors (in variable order, repeats included) form a
+    chain of nodes; chains share prefixes such as SIR's S*I.  Per equation,
+    `terms` lists (coeff, time_power, chain's last node) and `points` lists
+    (coeff, time_power, ((j, e) for every e > 0)), one entry per monomial.
+    """
+
+    def __init__(self, field: PolynomialVectorField) -> None:
+        self.nodes, self.terms, self.points = [(-1, -1)], [], []
+        index: dict[tuple[int, ...], int] = {(): 0}
+        for equation in field.equations:
+            self.terms.append([])
+            self.points.append([])
+            for m in equation:
+                chain: tuple[int, ...] = ()
+                for j, e in enumerate(m.state_powers):
+                    for _ in range(e):
+                        parent, chain = index[chain], chain + (j,)
+                        if chain not in index:
+                            index[chain] = len(self.nodes)
+                            self.nodes.append((parent, j))
+                factors = tuple((j, e) for j, e in enumerate(m.state_powers) if e)
+                self.terms[-1].append((m.coeff, m.time_power, index[chain]))
+                self.points[-1].append((m.coeff, m.time_power, factors))
+
+    def evaluate(self, t_shifted_pow_alpha: float, y: Sequence[float]) -> list[float]:
+        """`evaluate_field` without its argument checks."""
+        out = []
+        for terms in self.points:
+            acc = 0.0
+            for coeff, time_power, factors in terms:
+                v = coeff
+                if time_power:
+                    v *= t_shifted_pow_alpha**time_power
+                for j, e in factors:
+                    v *= y[j] if e == 1 else y[j] ** e
+                acc += v
+            out.append(acc)
+        return out
+
 
 def evaluate_field(
     field: PolynomialVectorField, t_shifted_pow_alpha: float, y: Sequence[float]
@@ -81,21 +131,7 @@ def evaluate_field(
         raise ValueError(f"state has length {len(y)}, expected {field.dimension}")
     if t_shifted_pow_alpha < 0.0:
         raise ValueError(f"time value must be non-negative, got {t_shifted_pow_alpha}")
-    out = []
-    for terms in field.equations:
-        acc = 0.0
-        for mono in terms:
-            v = mono.coeff
-            if mono.time_power:
-                v *= t_shifted_pow_alpha**mono.time_power
-            for yj, e in zip(y, mono.state_powers):
-                if e == 1:
-                    v *= yj
-                elif e > 1:
-                    v *= yj**e
-            acc += v
-        out.append(acc)
-    return out
+    return field.plan.evaluate(t_shifted_pow_alpha, y)
 
 
 def compose_series(

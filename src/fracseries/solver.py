@@ -1,25 +1,24 @@
 """Series solver for Caputo systems D^alpha y = f(t, y), y(t0) = y0.
 
 The solution ansatz is one fractional polynomial per state variable, all on
-the same alpha-grid.  The defect of a candidate P,
-
-    Def(t) = D^alpha P(t) - f(t, P(t)),
-
-measures how far P is from satisfying the system.  Coefficients are fixed by
-requiring that the limit at t0+ of the (i-1)-fold sequential Caputo
-derivative of every defect component vanishes, for i = 1..n.
+the same alpha-grid.  Coefficients are fixed by requiring that the limit at
+t0+ of the (i-1)-fold sequential Caputo derivative of every component of the
+defect Def(t) = D^alpha P(t) - f(t, P(t)) vanishes, for i = 1..n.
 
 Because f is polynomial, the grid-slot-(i-1) coefficient of f(t, P) depends
 only on series coefficients with index < i, which turns each of those limit
 conditions into an explicit linear step:
 
     c_i[j] = Gamma((i-1)*alpha + 1) / Gamma(i*alpha + 1)
-             * (slot i-1 coefficient of f(t, P) for equation j),
+             * (slot i-1 coefficient of f(t, P) for equation j).
 
-evaluated with the partial series through index i - 1.  `solve` runs this
-recursion; `verify_defect_conditions` re-checks the result through the
-literal repeated-derivative limits, with no shortcut shared between the two
-paths.
+`solve` runs this recursion in O(n^2) over the field's compiled plan
+(`PolynomialVectorField.plan`): each chain of partial products keeps its
+grid slots in a float list, and step i appends slot i-1 of every chain in
+the order `compose_series` sums it, so the coefficients are bit-identical to
+recomposing the whole field at every step.  The defect diagnostics and
+`verify_defect_conditions` stay on the literal path (`compose_series`, then
+repeated Caputo derivatives), with no shortcut shared with `solve`.
 """
 
 from __future__ import annotations
@@ -90,17 +89,27 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
     """
     field = problem.field
     n = problem.degree
-    partial = [
-        FractionalPolynomial(problem.alpha, problem.t0, (v,)) for v in problem.y0
-    ]
     a = problem.alpha
+    plan = field.plan
+    coeffs = [[v] for v in problem.y0]
+    slots = [[1.0]] + [[] for _ in plan.nodes[1:]]  # grid slots of each node's product
     for i in range(1, n + 1):
         ratio = gamma((i - 1) * a + 1.0) / gamma(i * a + 1.0)
-        composed = compose_series(field, partial, i - 1)
-        partial = [
-            FractionalPolynomial(a, problem.t0, p.coeffs + (ratio * fp.coefficient(i - 1),))
-            for p, fp in zip(partial, composed)
-        ]
+        reversed_coeffs = [c[::-1] for c in coeffs]
+        for (parent, j), out in zip(plan.nodes[1:], slots[1:]):
+            acc = 0.0  # slot i-1, summed in multiply_truncated's order
+            for left, right in zip(slots[parent], reversed_coeffs[j]):
+                if left != 0.0:
+                    acc += left * right
+            out.append(acc)
+        for c, terms in zip(coeffs, plan.terms):
+            acc = 0.0  # slot i-1 of compose_series, monomials added in order
+            for coeff, time_power, node in terms:
+                k = i - 1 - time_power
+                if 0 <= k < len(slots[node]):
+                    acc += coeff * slots[node][k]
+            c.append(ratio * acc)
+    partial = [FractionalPolynomial(a, problem.t0, tuple(c)) for c in coeffs]
     if n == 0:
         diagnostics = tuple(() for _ in partial)
     else:

@@ -113,6 +113,21 @@ class TestSolve:
         ).read_bytes()
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
+    def test_unrepresentable_gamma_is_clean_exit_1(self, tmp_path: Path):
+        # Gamma(172) exceeds the double range at step 171 of the recursion.
+        out = tmp_path / "out"
+        cp = run_cli("solve", "--alpha", "1", "--degree", "200", "--out-dir", str(out))
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "Traceback" not in cp.stderr
+        assert not out.exists()
+
+    def test_degree_160_at_alpha_one(self, tmp_path: Path):
+        cp = run_cli("solve", "--alpha", "1", "--degree", "160", "--out-dir", str(tmp_path))
+        assert cp.returncode == 0, cp.stderr
+        rows = read_rows(tmp_path / "coefficients.csv")
+        assert len(rows) == 3 * 161
+
 
 class TestCompare:
     def test_default_run_tables(self, tmp_path: Path):

@@ -70,6 +70,67 @@ class TestEvaluateField:
         with pytest.raises(ValueError):
             evaluate_field(IDENTITY_1D, -0.1, (1.0,))
 
+    def test_bit_identical_to_monomial_walk(self):
+        # Literal reference: coefficient, then time power, then every state
+        # power in variable order, monomials summed in order.
+        rng = random.Random(3)
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            field = PolynomialVectorField(
+                equations=tuple(
+                    tuple(
+                        Monomial(
+                            rng.uniform(-1.5, 1.5),
+                            tuple(rng.choice([0, 1, 2, 3, 4]) for _ in range(dim)),
+                            time_power=rng.randint(0, 3),
+                        )
+                        for _ in range(rng.randint(0, 3))
+                    )
+                    for _ in range(dim)
+                ),
+                variable_names=tuple(f"y{j}" for j in range(dim)),
+            )
+            y = [rng.uniform(-2.0, 2.0) for _ in range(dim)]
+            u = rng.uniform(0.0, 3.0)
+            want = []
+            for terms in field.equations:
+                acc = 0.0
+                for m in terms:
+                    v = m.coeff
+                    if m.time_power:
+                        v *= u**m.time_power
+                    for yj, e in zip(y, m.state_powers):
+                        if e:
+                            v *= yj if e == 1 else yj**e
+                    acc += v
+                want.append(acc)
+            got = evaluate_field(field, u, y)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class TestPlan:
+    def test_sir_shares_the_s_times_i_chain(self):
+        plan = sir_field(0.001, 0.072).plan
+        # constant 1, S, S*I, I: S*I appears in two equations but is built once
+        assert plan.nodes == [(-1, -1), (0, 0), (1, 1), (0, 1)]
+        assert [[node for _, _, node in terms] for terms in plan.terms] == [[2], [2, 3], [3]]
+
+    def test_repeated_factors_extend_one_chain(self):
+        field = PolynomialVectorField(
+            equations=((Monomial(1.0, (3, 0)), Monomial(2.0, (2, 1)), Monomial(3.0, (0, 0))),
+                       (Monomial(1.0, (1, 0), time_power=2),)),
+            variable_names=("x", "z"),
+        )
+        plan = field.plan
+        # x, x^2, x^3, x^2*z: prefixes x and x^2 are shared
+        assert plan.nodes == [(-1, -1), (0, 0), (1, 0), (2, 0), (2, 1)]
+        assert plan.terms == [[(1.0, 0, 3), (2.0, 0, 4), (3.0, 0, 0)], [(1.0, 2, 1)]]
+        assert plan.points[0][1] == (2.0, 0, ((0, 2), (1, 1)))
+
+    def test_built_once_per_field(self):
+        field = sir_field(0.001, 0.072)
+        assert field.plan is field.plan
+
 
 class TestComposeSeries:
     def test_sir_with_constant_series(self):

@@ -6,6 +6,7 @@ from fracseries import (
     Monomial,
     PolynomialVectorField,
     Trajectory,
+    evaluate_field,
     rk4_integrate,
     sir_field,
 )
@@ -99,3 +100,52 @@ def test_trajectory_validation():
 def test_sir_decreasing_susceptibles(sir_rk_trajectory):
     s_values = [state[0] for state in sir_rk_trajectory.states]
     assert all(b < a for a, b in zip(s_values, s_values[1:]))
+
+
+def _rk4_reference(field, y0, t0, t_end, h):
+    """Plain RK4 over the public `evaluate_field`, one state per step."""
+    n_steps = round((t_end - t0) / h)
+    y = [float(v) for v in y0]
+    states = [tuple(y)]
+    for k in range(1, n_steps + 1):
+        t = t0 + (k - 1) * h
+        k1 = evaluate_field(field, t - t0, y)
+        k2 = evaluate_field(field, t + 0.5 * h - t0, [a + 0.5 * h * b for a, b in zip(y, k1)])
+        k3 = evaluate_field(field, t + 0.5 * h - t0, [a + 0.5 * h * b for a, b in zip(y, k2)])
+        k4 = evaluate_field(field, t + h - t0, [a + h * b for a, b in zip(y, k3)])
+        y = [
+            a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        states.append(tuple(y))
+    return states
+
+
+@pytest.mark.parametrize(
+    "field,y0,t0",
+    [
+        (sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0),
+        (
+            PolynomialVectorField(
+                equations=(
+                    (Monomial(-0.5, (3, 0)), Monomial(0.25, (0, 0), time_power=2)),
+                    (Monomial(1.0, (1, 2), time_power=1), Monomial(-1.0, (0, 1))),
+                ),
+                variable_names=("a", "b"),
+            ),
+            (0.75, -0.0),
+            1.5,
+        ),
+    ],
+)
+def test_trajectory_bit_identical_to_evaluate_field_loop(field, y0, t0):
+    traj = rk4_integrate(field, y0, t0, t0 + 1.0, 1e-3, 1)
+    want = _rk4_reference(field, y0, t0, t0 + 1.0, 1e-3)
+    assert [[v.hex() for v in s] for s in traj.states] == [
+        [v.hex() for v in s] for s in want
+    ]
+
+
+def test_initial_state_length_rejected():
+    with pytest.raises(ValueError):
+        rk4_integrate(EXP_FIELD, (1.0, 2.0), 0.0, 1.0, 0.1)

@@ -9,6 +9,7 @@ from fracseries import (
     PolynomialVectorField,
     SeriesProblem,
     build_defect,
+    compose_series,
     gamma,
     sir_field,
     solve,
@@ -235,3 +236,103 @@ def test_taylor_reduction_tracks_rk4(sir_solution_deg9, sir_rk_trajectory):
             continue
         for j, series in enumerate(sir_solution_deg9.series):
             assert abs(series.evaluate(t) - state[j]) <= 1e-8
+
+
+def _solve_by_recomposition(problem):
+    """The solver's recursion as first written: at every step, compose the
+    whole field with the partial series from scratch and read off slot i-1.
+
+    O(n^3) and built only on `compose_series`, `build_defect` and `gamma`;
+    `solve` must reproduce its coefficients and defects bit for bit.
+    """
+    a, t0, n = problem.alpha, problem.t0, problem.degree
+    partial = [FractionalPolynomial(a, t0, (v,)) for v in problem.y0]
+    for i in range(1, n + 1):
+        ratio = gamma((i - 1) * a + 1.0) / gamma(i * a + 1.0)
+        composed = compose_series(problem.field, partial, i - 1)
+        partial = [
+            FractionalPolynomial(a, t0, p.coeffs + (ratio * fp.coefficient(i - 1),))
+            for p, fp in zip(partial, composed)
+        ]
+    if n == 0:
+        return partial, tuple(() for _ in partial)
+    defect = build_defect(problem.field, partial, n - 1)
+    return partial, tuple(tuple(d.coefficient(k) for k in range(n)) for d in defect)
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, which == alone does not.
+    return [float(v).hex() for v in values]
+
+
+def _assert_matches_recomposition(problem):
+    solution = solve(problem)
+    series, defect = _solve_by_recomposition(problem)
+    assert [_bits(s.coeffs) for s in solution.series] == [_bits(s.coeffs) for s in series]
+    assert [_bits(d) for d in solution.defect_coefficients] == [_bits(d) for d in defect]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("degree", [0, 1, 2, 17, 60])
+def test_sir_bit_identical_to_recomposition(sir_spec, alpha, degree):
+    _assert_matches_recomposition(
+        SeriesProblem(
+            field=sir_spec.field(), y0=INITIAL, alpha=alpha, t0=0.0, degree=degree
+        )
+    )
+
+
+def _rich_random_field(rng, dim):
+    # Repeated factors up to y^3, constant monomials, zero coefficients and
+    # time powers up to past the solved degree.
+    equations = []
+    for _ in range(dim):
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            powers = [0] * dim
+            for _ in range(rng.choice([0, 1, 2, 3])):
+                powers[rng.randrange(dim)] += 1
+            if rng.random() < 0.2:
+                powers[rng.randrange(dim)] = 3
+            coeff = rng.choice([rng.uniform(-2.0, 2.0), 1.0, 0.0])
+            terms.append(
+                Monomial(coeff, tuple(powers), time_power=rng.choice([0, 0, 1, 3, 40]))
+            )
+        equations.append(tuple(terms))
+    return PolynomialVectorField(
+        equations=tuple(equations),
+        variable_names=tuple(f"y{j}" for j in range(dim)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_fields_bit_identical_to_recomposition(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(6):
+        dim = rng.randint(1, 4)
+        field = _rich_random_field(rng, dim)
+        # Zero and negative-zero initial values exercise the zero-row skip.
+        y0 = tuple(rng.choice([rng.uniform(-1.0, 1.0), 0.0, -0.0]) for _ in range(dim))
+        problem = SeriesProblem(
+            field=field,
+            y0=y0,
+            alpha=rng.choice([0.3, 0.5, 0.9, 1.0]),
+            t0=rng.choice([0.0, 1.5]),
+            degree=rng.randint(0, 25),
+        )
+        _assert_matches_recomposition(problem)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_degree_n_solution_is_prefix_of_degree_n_plus_one(sir_spec, alpha):
+    rng = random.Random(77)
+    fields = [(sir_spec.field(), INITIAL)] + [
+        (f, tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)))
+        for dim in (1, 2, 3, 4)
+        for f in [_rich_random_field(rng, dim)]
+    ]
+    for field, y0 in fields:
+        shorter = solve(SeriesProblem(field=field, y0=y0, alpha=alpha, t0=0.0, degree=20))
+        longer = solve(SeriesProblem(field=field, y0=y0, alpha=alpha, t0=0.0, degree=21))
+        for s, l in zip(shorter.series, longer.series):
+            assert _bits(l.coeffs[:-1]) == _bits(s.coeffs)
