@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 domain/runtime error, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except (UsageError, ModelConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -99,6 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(args: argparse.Namespace) -> None:
+    """Reject nan and infinite values (including overflowing literals such as
+    1e999) in every float flag, before any command runs or writes."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise UsageError(f"--{name.replace('_', '-')} must be finite, got {v}")
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="sir",
                         help="builtin name 'sir' or path to a model config JSON")
@@ -121,6 +132,8 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
                 initial = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise UsageError(f"bad --initial value: {exc}") from exc
+            if not all(math.isfinite(v) for v in initial):
+                raise UsageError(f"--initial values must be finite, got {args.initial}")
         return sir_model(
             p1=args.p1 if args.p1 is not None else 0.001,
             p2=args.p2 if args.p2 is not None else 0.072,
@@ -136,6 +149,7 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _load_model(args)
+    times = _sample_grid(spec.t0, args.t_end, args.samples)
     alpha = args.alpha if args.alpha is not None else spec.alpha
     solution = solve(
         SeriesProblem(
@@ -145,15 +159,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     out_dir = _ensure_dir(args.out_dir)
     _write_coefficients(out_dir / "coefficients.csv", spec, solution)
-    times = _sample_grid(spec.t0, args.t_end, args.samples)
     _write_samples(out_dir / "samples.csv", spec, solution, times)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_model(args)
-    out_dir = _ensure_dir(args.out_dir)
     times = _sample_grid(spec.t0, args.t_end, args.samples)
+    out_dir = _ensure_dir(args.out_dir)
     for alpha in args.alpha:
         solution = solve(
             SeriesProblem(

@@ -107,11 +107,9 @@ class FractionalPolynomial:
         """
         if len(self.coeffs) == 1:
             return FractionalPolynomial(self.alpha, self.t0, (0.0,))
-        a = self.alpha
-        new = tuple(
-            self.coeffs[i] * gamma(i * a + 1.0) / gamma((i - 1) * a + 1.0)
-            for i in range(1, len(self.coeffs))
-        )
+        a, c = self.alpha, self.coeffs
+        g = [gamma(i * a + 1.0) for i in range(len(c))]
+        new = tuple(c[i] * g[i] / g[i - 1] for i in range(1, len(c)))
         return FractionalPolynomial(a, self.t0, new)
 
     def rl_integral(self) -> "FractionalPolynomial":
@@ -122,11 +120,9 @@ class FractionalPolynomial:
         term is zero.  Left inverse partner of `caputo_derivative` on this
         class: differentiating the integral restores the polynomial.
         """
-        a = self.alpha
-        new = (0.0,) + tuple(
-            self.coeffs[i] * gamma(i * a + 1.0) / gamma((i + 1) * a + 1.0)
-            for i in range(len(self.coeffs))
-        )
+        a, c = self.alpha, self.coeffs
+        g = [gamma(i * a + 1.0) for i in range(len(c) + 1)]
+        new = (0.0,) + tuple(c[i] * g[i] / g[i + 1] for i in range(len(c)))
         return FractionalPolynomial(a, self.t0, new)
 
     def sequential_caputo_limit(self, k: int) -> float:

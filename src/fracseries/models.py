@@ -16,6 +16,7 @@ Unknown fields anywhere in the document are rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .field import Monomial, PolynomialVectorField
@@ -135,7 +136,7 @@ def parse_model_config(document: str) -> ModelSpec:
 
     initial = doc["initial"]
     if not isinstance(initial, list) or not all(_is_number(v) for v in initial):
-        raise ModelConfigError("'initial' must be an array of numbers")
+        raise ModelConfigError("'initial' must be an array of finite numbers")
     if len(initial) != dim:
         raise ModelConfigError(
             f"'initial' has {len(initial)} entries for {dim} variables"
@@ -143,13 +144,13 @@ def parse_model_config(document: str) -> ModelSpec:
 
     alpha = doc["alpha"]
     if not _is_number(alpha):
-        raise ModelConfigError("'alpha' must be a number")
+        raise ModelConfigError("'alpha' must be a finite number")
     if not 0.0 < float(alpha) <= 1.0:
         raise ModelConfigError(f"alpha out of (0, 1]: {alpha}")
 
     t0 = doc["t0"]
     if not _is_number(t0):
-        raise ModelConfigError("'t0' must be a number")
+        raise ModelConfigError("'t0' must be a finite number")
 
     equations = doc["equations"]
     if not isinstance(equations, list) or len(equations) != dim:
@@ -183,7 +184,7 @@ def _parse_term(term: object, eq_index: int, term_index: int, dim: int) -> Monom
         raise ModelConfigError(f"{where}: term needs 'coeff' and 'powers'")
     coeff = term["coeff"]
     if not _is_number(coeff):
-        raise ModelConfigError(f"{where}: 'coeff' must be a number")
+        raise ModelConfigError(f"{where}: 'coeff' must be a finite number")
     powers = term["powers"]
     if not isinstance(powers, list) or not all(
         isinstance(e, int) and not isinstance(e, bool) for e in powers
@@ -202,4 +203,11 @@ def _parse_term(term: object, eq_index: int, term_index: int, dim: int) -> Monom
 
 
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json.loads yields nan and inf (also from overflowing literals such as
+    # 1e999), and ints too large for a double; none of them is a usable number.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

@@ -18,7 +18,9 @@ grid slots in a float list, and step i appends slot i-1 of every chain in
 the order `compose_series` sums it, so the coefficients are bit-identical to
 recomposing the whole field at every step.  The defect diagnostics and
 `verify_defect_conditions` stay on the literal path (`compose_series`, then
-repeated Caputo derivatives), with no shortcut shared with `solve`.
+repeated Caputo derivatives), with no shortcut shared with `solve`.  The
+oracle walks one derivative chain per defect component and reads every limit
+off it on the way, so it too costs O(n^2) rather than O(n^3).
 """
 
 from __future__ import annotations
@@ -93,8 +95,9 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
     plan = field.plan
     coeffs = [[v] for v in problem.y0]
     slots = [[1.0]] + [[] for _ in plan.nodes[1:]]  # grid slots of each node's product
+    g = [gamma(i * a + 1.0) for i in range(n + 1)]
     for i in range(1, n + 1):
-        ratio = gamma((i - 1) * a + 1.0) / gamma(i * a + 1.0)
+        ratio = g[i - 1] / g[i]
         reversed_coeffs = [c[::-1] for c in coeffs]
         for (parent, j), out in zip(plan.nodes[1:], slots[1:]):
             acc = 0.0  # slot i-1, summed in multiply_truncated's order
@@ -130,12 +133,18 @@ def verify_defect_conditions(
     returning max over equations of the absolute limit value per index.  All
     entries are ~0 for a correct solution; this is the independent oracle for
     the recursion in `solve`.
+
+    Each component's derivatives form one chain, walked once: the k-th
+    polynomial on it is the one `sequential_caputo_limit(k)` builds, so the
+    result is bit-identical to a per-index rebuild at O(n^2) instead of
+    O(n^3) cost.
     """
     n = problem.degree
     if n == 0:
         return []
     defect = build_defect(problem.field, list(solution.series), n - 1)
-    out = []
-    for i in range(1, n + 1):
-        out.append(max(abs(d.sequential_caputo_limit(i - 1)) for d in defect))
+    out = [max(abs(d.coeffs[0]) for d in defect)]
+    for _ in range(n - 1):
+        defect = [d.caputo_derivative() for d in defect]
+        out.append(max(abs(d.coeffs[0]) for d in defect))
     return out

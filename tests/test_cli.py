@@ -129,6 +129,66 @@ class TestSolve:
         assert len(rows) == 3 * 161
 
 
+class TestInvalidInputWritesNothing:
+    """Non-finite numbers (nan, inf, overflowing literals) and bad sample grids
+    fail as usage errors before any file is written."""
+
+    @staticmethod
+    def assert_usage_error(cp, out: Path):
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "Traceback" not in cp.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("solve", "--initial", "nan,10,70"),
+            ("solve", "--initial", "620,1e999,70"),
+            ("solve", "--p1", "nan"),
+            ("solve", "--p2", "inf"),
+            ("solve", "--alpha", "nan"),
+            ("solve", "--t-end", "1e999"),
+            ("compare", "--rk-step", "nan"),
+            ("sweep", "--alpha", "0.5", "--alpha", "inf"),
+        ],
+    )
+    def test_float_flags(self, tmp_path: Path, flags):
+        out = tmp_path / "out"
+        cp = run_cli(*flags, "--out-dir", str(out))
+        self.assert_usage_error(cp, out)
+        assert flags[-2] in cp.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--t-end", "-1"), ("--samples", "0")])
+    def test_bad_sample_grid_writes_nothing(self, tmp_path: Path, command, flag, value):
+        out = tmp_path / "out"
+        alpha = ("--alpha", "0.5") if command == "sweep" else ()
+        cp = run_cli(command, *alpha, flag, value, "--out-dir", str(out))
+        self.assert_usage_error(cp, out)
+
+    def test_conformable_beta(self, tmp_path: Path):
+        out = tmp_path / "out" / "report.csv"
+        cp = run_cli("conformable", "--beta", "nan", "--alpha", "0.5", "--out", str(out))
+        self.assert_usage_error(cp, out.parent)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"t0": 0.0', '"t0": Infinity'),
+            ("[620.0, 10.0, 70.0]", "[NaN, 10.0, 70.0]"),
+            ('"coeff": -0.001', '"coeff": 1e999'),
+        ],
+    )
+    def test_model_config(self, tmp_path: Path, old, new):
+        bad = tmp_path / "bad.json"
+        bad.write_text(SHIPPED_SIR.read_text().replace(old, new, 1))
+        out = tmp_path / "out"
+        cp = run_cli("solve", "--model", str(bad), "--out-dir", str(out))
+        self.assert_usage_error(cp, out)
+        assert "finite" in cp.stderr
+
+
 class TestCompare:
     def test_default_run_tables(self, tmp_path: Path):
         cp = run_cli("compare", "--out-dir", str(tmp_path))

@@ -178,6 +178,43 @@ class TestCaputoDerivative:
             assert d.coeffs[i - 1] == pytest.approx(i * coeffs[i], rel=1e-13)
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _random_polys(seed):
+    rng = random.Random(seed)
+    for alpha in (0.3, 0.5, 0.75, 0.9, 1.0):
+        for degree in (0, 1, 2, 7, 40, 120):
+            coeffs = tuple(
+                rng.choice([rng.uniform(-5.0, 5.0), 0.0, -0.0]) for _ in range(degree + 1)
+            )
+            yield FractionalPolynomial(alpha, rng.choice([0.0, 1.5]), coeffs)
+
+
+class TestOneGammaTable:
+    """Each Gamma value is computed once per call, with the same arguments and
+    the same left-to-right products as the two-`gamma` power rule per term."""
+
+    def test_caputo_derivative_bit_identical_to_literal_formula(self):
+        for p in _random_polys(11):
+            a, c = p.alpha, p.coeffs
+            want = tuple(
+                c[i] * gamma(i * a + 1.0) / gamma((i - 1) * a + 1.0)
+                for i in range(1, len(c))
+            ) or (0.0,)
+            assert _bits(p.caputo_derivative().coeffs) == _bits(want)
+
+    def test_rl_integral_bit_identical_to_literal_formula(self):
+        for p in _random_polys(12):
+            a, c = p.alpha, p.coeffs
+            want = (0.0,) + tuple(
+                c[i] * gamma(i * a + 1.0) / gamma((i + 1) * a + 1.0)
+                for i in range(len(c))
+            )
+            assert _bits(p.rl_integral().coeffs) == _bits(want)
+
+
 class TestRlIntegral:
     def test_zero_maps_to_zero(self):
         r = fp(0.5, 0.0, 0.0).rl_integral()

@@ -117,6 +117,24 @@ class TestParseModelConfig:
         with pytest.raises(ModelConfigError, match="coeff"):
             parse_model_config(doc)
 
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]
+    )
+    @pytest.mark.parametrize(
+        "field, old, new",
+        [
+            ("initial", "[620.0, 10.0, 70.0]", "[{}, 10.0, 70.0]"),
+            ("alpha", '"alpha": 1.0', '"alpha": {}'),
+            ("t0", '"t0": 0.0', '"t0": {}'),
+            ("coeff", '"coeff": -0.001', '"coeff": {}'),
+        ],
+    )
+    def test_non_finite_number_rejected(self, literal, field, old, new):
+        # json.loads accepts all of these; a 400-digit integer has no double.
+        doc = SHIPPED_SIR.read_text().replace(old, new.format(literal), 1)
+        with pytest.raises(ModelConfigError, match=f"'{field}' must be .*finite"):
+            parse_model_config(doc)
+
     def test_field_builds_from_spec(self):
         spec = parse_model_config(SHIPPED_SIR.read_text())
         assert spec.field() == sir_field(0.001, 0.072)

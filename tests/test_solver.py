@@ -336,3 +336,94 @@ def test_degree_n_solution_is_prefix_of_degree_n_plus_one(sir_spec, alpha):
         longer = solve(SeriesProblem(field=field, y0=y0, alpha=alpha, t0=0.0, degree=21))
         for s, l in zip(shorter.series, longer.series):
             assert _bits(l.coeffs[:-1]) == _bits(s.coeffs)
+
+
+def _limits_per_index(problem, series):
+    """The oracle as first written: for every index i, rebuild the (i-1)-fold
+    derivative chain of each defect component from scratch. O(n^3);
+    `verify_defect_conditions` must reproduce it bit for bit."""
+    n = problem.degree
+    if n == 0:
+        return []
+    defect = build_defect(problem.field, list(series), n - 1)
+    return [
+        max(abs(d.sequential_caputo_limit(i - 1)) for d in defect)
+        for i in range(1, n + 1)
+    ]
+
+
+def _assert_oracle_matches_per_index(problem, solution):
+    got = verify_defect_conditions(solution, problem)
+    assert _bits(got) == _bits(_limits_per_index(problem, solution.series))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("degree", [0, 1, 2, 9, 40])
+def test_sir_oracle_bit_identical_to_per_index_limits(sir_spec, alpha, degree):
+    problem = SeriesProblem(
+        field=sir_spec.field(), y0=INITIAL, alpha=alpha, t0=0.0, degree=degree
+    )
+    _assert_oracle_matches_per_index(problem, solve(problem))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_fields_oracle_bit_identical_to_per_index_limits(seed):
+    rng = random.Random(2000 + seed)
+    for _ in range(5):
+        dim = rng.randint(1, 4)
+        field = _rich_random_field(rng, dim)
+        y0 = tuple(rng.choice([rng.uniform(-1.0, 1.0), 0.0, -0.0]) for _ in range(dim))
+        problem = SeriesProblem(
+            field=field,
+            y0=y0,
+            alpha=rng.choice([0.3, 0.5, 0.9, 1.0]),
+            t0=rng.choice([0.0, 1.5]),
+            degree=rng.randint(0, 20),
+        )
+        _assert_oracle_matches_per_index(problem, solve(problem))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_perturbed_series_oracle_bit_identical_to_per_index_limits(sir_spec, alpha):
+    # A non-solution, so that every limit is non-zero and the check compares
+    # real values rather than rounding noise.
+    problem = SeriesProblem(
+        field=sir_spec.field(), y0=INITIAL, alpha=alpha, t0=0.0, degree=30
+    )
+    solution = solve(problem)
+    rng = random.Random(31)
+    perturbed = dataclasses.replace(
+        solution,
+        series=tuple(
+            FractionalPolynomial(
+                s.alpha, s.t0, tuple(c + rng.uniform(-1e-3, 1e-3) for c in s.coeffs)
+            )
+            for s in solution.series
+        ),
+    )
+    limits = verify_defect_conditions(perturbed, problem)
+    assert min(limits) > 0.0
+    _assert_oracle_matches_per_index(problem, perturbed)
+
+
+def test_oracle_gamma_calls_are_quadratic(sir_spec, monkeypatch):
+    # One derivative chain per defect component, one Gamma table per
+    # derivative: at most one call per (chain step, term). The per-index
+    # rebuild made about 40 times as many at this degree.
+    import fracseries.fracpoly
+
+    n = 40
+    problem = SeriesProblem(
+        field=sir_spec.field(), y0=INITIAL, alpha=0.5, t0=0.0, degree=n
+    )
+    solution = solve(problem)
+    calls = []
+
+    def counting_gamma(x):
+        calls.append(x)
+        return gamma(x)
+
+    monkeypatch.setattr(fracseries.fracpoly, "gamma", counting_gamma)
+    verify_defect_conditions(solution, problem)
+    dim = problem.field.dimension
+    assert 0 < len(calls) <= dim * (n + 1) * (n + 2) // 2
