@@ -166,22 +166,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_model(args)
     times = _sample_grid(spec.t0, args.t_end, args.samples)
-    out_dir = _ensure_dir(args.out_dir)
-    for alpha in args.alpha:
-        solution = solve(
+    field = spec.field()
+    # Solve every order first, so that a failing one leaves no partial output.
+    solutions = [
+        solve(
             SeriesProblem(
-                field=spec.field(), y0=spec.initial, alpha=alpha,
+                field=field, y0=spec.initial, alpha=alpha,
                 t0=spec.t0, degree=args.degree,
             )
         )
+        for alpha in args.alpha
+    ]
+    out_dir = _ensure_dir(args.out_dir)
+    for alpha, solution in zip(args.alpha, solutions):
         _write_samples(out_dir / f"samples_alpha_{alpha!r}.csv", spec, solution, times)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.alpha != 1.0:
-        print("compare requires --alpha 1", file=sys.stderr)
-        return 1
+        raise ValueError("compare requires --alpha 1")
     spec = _load_model(args)
     field = spec.field()
     solution = solve(

@@ -1,69 +1,32 @@
 """Real-argument Gamma and Beta functions.
 
-Every coefficient formula in this package reduces to ratios of Gamma values,
-so the solver's accuracy is bounded by the accuracy of this kernel.  The
-implementation is a Lanczos approximation (g = 7, 9 terms) good to roughly
-2e-14 relative error on (0, 50] and 1e-13 on (50, 171].  Beyond x ~ 171.6,
-where Gamma(x) exceeds the largest double, `gamma` raises OverflowError
-instead of returning inf.
-
-Arguments must be strictly positive: no in-scope formula ever needs the
-analytic continuation, so a non-positive argument signals a caller bug and
-raises immediately instead of silently returning a reflected value.
+Every coefficient formula in this package reduces to ratios of Gamma values.
+`gamma` wraps `math.gamma` (within about 7e-16 relative on (0, 171.6]) and
+raises OverflowError wherever Gamma(x) is not a finite double: x > ~171.62,
+x = inf, and subnormal x.  No in-scope formula needs the analytic
+continuation, so a non-positive or NaN argument raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
 
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# Lanczos coefficients for g = 7 (Godfrey's 9-term set).
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
     """Gamma function for real x > 0.
 
     Raises:
-        ValueError: if x <= 0.
-        OverflowError: if Gamma(x) exceeds the largest double.
+        ValueError: if x <= 0 or x is NaN.
+        OverflowError: if Gamma(x) is not a finite double.
     """
     if not x > 0.0:
         raise ValueError(f"gamma: argument must be positive, got {x}")
-    if x < 0.5:
-        # One recurrence step moves the argument into the Lanczos sweet spot.
-        return gamma(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for k in range(1, 9):
-        acc += _LANCZOS[k] / (z + k)
-    t = z + 7.5
-    try:
-        value = _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        # t ** (z + 0.5) alone overflows from x ~ 142; splitting the power in
-        # halves keeps every intermediate finite wherever Gamma(x) itself is.
+    if x != math.inf:
         try:
-            h = t ** (0.5 * (z + 0.5))
-            value = _SQRT_TWO_PI * h * (h * math.exp(-t)) * acc
+            return math.gamma(x)
         except OverflowError:
-            value = math.inf
-        if value == math.inf:
-            raise OverflowError(f"gamma({x}) exceeds the largest double")
-    return value
+            pass
+    raise OverflowError(f"gamma({x}) exceeds the largest double")
 
 
 def beta(x: float, y: float) -> float:

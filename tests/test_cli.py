@@ -114,7 +114,7 @@ class TestSolve:
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
     def test_unrepresentable_gamma_is_clean_exit_1(self, tmp_path: Path):
-        # Gamma(172) exceeds the double range at step 171 of the recursion.
+        # Gamma(172) exceeds the double range, so the Gamma table cannot be built.
         out = tmp_path / "out"
         cp = run_cli("solve", "--alpha", "1", "--degree", "200", "--out-dir", str(out))
         assert cp.returncode == 1
@@ -208,7 +208,8 @@ class TestCompare:
     def test_alpha_must_be_one(self, tmp_path: Path):
         cp = run_cli("compare", "--alpha", "0.5", "--out-dir", str(tmp_path))
         assert cp.returncode == 1
-        assert "compare requires --alpha 1" in cp.stderr
+        assert cp.stderr == "error: compare requires --alpha 1\n"
+        assert not any(tmp_path.iterdir())
 
     def test_self_comparison_is_exactly_zero(self, tmp_path: Path):
         cp = run_cli("compare", "--reference", "acps", "--out-dir", str(tmp_path))
@@ -272,3 +273,15 @@ class TestSweep:
         gaps = [gap(a) for a in ("0.6", "0.7", "0.8", "0.9")]
         assert gaps[-1] < gaps[0]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_failing_order_leaves_no_partial_output(self, tmp_path: Path):
+        # alpha 0.5 solves at degree 200, alpha 1 cannot: nothing is written.
+        out = tmp_path / "o"
+        cp = run_cli(
+            "sweep", "--alpha", "0.5", "--alpha", "1", "--degree", "200",
+            "--out-dir", str(out),
+        )
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "Traceback" not in cp.stderr
+        assert not out.exists()
