@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .conformable import discrepancy_report
 from .metrics import comparison_table, default_sample_times
@@ -268,11 +270,21 @@ def _write_samples(
     _write_csv(path, header, rows)
 
 
-def _write_csv(path: Path, header: str, rows: list[tuple[str, ...]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_csv(path: Path, header: str, rows: Iterable[tuple[str, ...]]) -> None:
+    """Write the file under a fresh temporary name beside `path`, then rename
+    it onto `path`, so a write that fails part-way leaves neither a partial
+    `path` nor the temporary file."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(x: float) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fracpoly import caputo_power_rule
 from .special import gamma
 
 
@@ -66,9 +67,10 @@ def caputo_power_value(beta_exp: float, alpha: float, t_shift: float) -> float:
     Raises:
         ValueError: as for `conformable_power_derivative`.
     """
+    # With beta_exp > m - 1 checked, the rule never takes its None branch.
     _check_exponent(beta_exp, alpha)
-    coefficient = gamma(beta_exp + 1.0) / gamma(beta_exp - alpha + 1.0)
-    return coefficient * _power(t_shift, beta_exp - alpha)
+    coefficient, exponent = caputo_power_rule(beta_exp, alpha)
+    return coefficient * _power(t_shift, exponent)
 
 
 def discrepancy_report(beta_exp: float, alpha: float) -> DiscrepancyReport:
@@ -79,7 +81,7 @@ def discrepancy_report(beta_exp: float, alpha: float) -> DiscrepancyReport:
     caputo = conformable * ratio.
     """
     m = _check_exponent(beta_exp, alpha)
-    caputo = gamma(beta_exp + 1.0) / gamma(beta_exp - alpha + 1.0)
+    caputo, _ = caputo_power_rule(beta_exp, alpha)
     conformable = gamma(beta_exp + 1.0) / gamma(beta_exp - m + 1.0)
     ratio = gamma(beta_exp - m + 1.0) / gamma(beta_exp - alpha + 1.0)
     return DiscrepancyReport(

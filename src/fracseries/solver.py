@@ -16,16 +16,19 @@ conditions into an explicit linear step:
 (`PolynomialVectorField.plan`): each chain of partial products keeps its
 grid slots in a float list, and step i appends slot i-1 of every chain in
 the order `compose_series` sums it, so the coefficients are bit-identical to
-recomposing the whole field at every step.  The defect diagnostics and
-`verify_defect_conditions` stay on the literal path (`compose_series`, then
-repeated Caputo derivatives), with no shortcut shared with `solve`.  The
-oracle walks one derivative chain per defect component and reads every limit
-off it on the way, so it too costs O(n^2) rather than O(n^3).
+recomposing the whole field at every step.  `solve` stops there: the defect
+diagnostics (`SeriesSolution.defect_coefficients`) are computed only when
+first read.  They and `verify_defect_conditions` stay on the literal path
+(`compose_series`, then repeated Caputo derivatives), with no shortcut shared
+with `solve`.  The oracle walks one derivative chain per defect component and
+reads every limit off it on the way, so it too costs O(n^2) rather than
+O(n^3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import PolynomialVectorField, compose_series
 from .fracpoly import FractionalPolynomial, add_scaled
@@ -56,15 +59,25 @@ class SeriesProblem:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Series per state variable plus the residual defect coefficients.
-
-    `defect_coefficients[j]` holds grid slots 0..degree-1 of the defect of
-    equation j evaluated on the final series; every entry should be zero up
-    to rounding.
-    """
+    """Series per state variable, together with the problem they solve."""
 
     series: tuple[FractionalPolynomial, ...]
-    defect_coefficients: tuple[tuple[float, ...], ...]
+    problem: SeriesProblem
+
+    @cached_property
+    def defect_coefficients(self) -> tuple[tuple[float, ...], ...]:
+        """Residual defect coefficients, computed on first access.
+
+        `defect_coefficients[j]` holds grid slots 0..degree-1 of the defect
+        of equation j evaluated on the series, built by the literal
+        `build_defect`; every entry should be zero up to rounding.  Degree 0
+        gives one empty tuple per equation (there is no condition to impose).
+        """
+        n = self.problem.degree
+        if n == 0:
+            return tuple(() for _ in self.series)
+        defect = build_defect(self.problem.field, list(self.series), n - 1)
+        return tuple(tuple(d.coefficient(k) for k in range(n)) for d in defect)
 
 
 def build_defect(
@@ -87,12 +100,12 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
     The constant coefficients are the initial values; each further index is
     fixed by the explicit recursion described in the module docstring, all
     components advancing in lockstep.  Degree 0 returns the constant initial
-    values with empty defect diagnostics (there is no condition to impose).
+    values.  The defect diagnostics are left to the first read of
+    `SeriesSolution.defect_coefficients`.
     """
-    field = problem.field
     n = problem.degree
     a = problem.alpha
-    plan = field.plan
+    plan = problem.field.plan
     coeffs = [[v] for v in problem.y0]
     slots = [[1.0]] + [[] for _ in plan.nodes[1:]]  # grid slots of each node's product
     g = [gamma(i * a + 1.0) for i in range(n + 1)]
@@ -112,15 +125,8 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
                 if 0 <= k < len(slots[node]):
                     acc += coeff * slots[node][k]
             c.append(ratio * acc)
-    partial = [FractionalPolynomial(a, problem.t0, tuple(c)) for c in coeffs]
-    if n == 0:
-        diagnostics = tuple(() for _ in partial)
-    else:
-        defect = build_defect(field, partial, n - 1)
-        diagnostics = tuple(
-            tuple(d.coefficient(k) for k in range(n)) for d in defect
-        )
-    return SeriesSolution(series=tuple(partial), defect_coefficients=diagnostics)
+    series = tuple(FractionalPolynomial(a, problem.t0, tuple(c)) for c in coeffs)
+    return SeriesSolution(series=series, problem=problem)
 
 
 def verify_defect_conditions(

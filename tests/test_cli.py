@@ -1,10 +1,12 @@
 import csv
+import errno
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fracseries import cli
 from sir_reference import ABS_ERROR_AT_1, COEFFS_DEG9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -285,3 +287,66 @@ class TestSweep:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "Traceback" not in cp.stderr
         assert not out.exists()
+
+
+def _cli_args(command: str, out: Path) -> list[str]:
+    if command == "conformable":
+        return ["conformable", "--beta", "1.5", "--alpha", "0.5",
+                "--out", str(out / "conformable.csv")]
+    flags = {
+        "solve": ["--degree", "4"],
+        "compare": ["--degree", "4", "--reference", "acps"],
+        "sweep": ["--alpha", "0.5", "--alpha", "1", "--degree", "4"],
+    }[command]
+    return [command, *flags, "--out-dir", str(out)]
+
+
+def _disk_full_after_first_row(monkeypatch):
+    write_csv = cli._write_csv
+
+    def failing(path, header, rows):
+        def first_row_then_disk_full():
+            yield rows[0]
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        write_csv(path, header, first_row_then_disk_full())
+
+    monkeypatch.setattr(cli, "_write_csv", failing)
+
+
+def _rename_fails(monkeypatch):
+    def failing(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+
+
+COMMANDS = ("solve", "compare", "sweep", "conformable")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_success_leaves_only_the_targets(self, tmp_path: Path, command, capsys):
+        out = tmp_path / "o"
+        assert cli.main(_cli_args(command, out)) == 0
+        assert capsys.readouterr().err == ""
+        names = sorted(p.name for p in out.iterdir())
+        assert names == {
+            "solve": ["coefficients.csv", "samples.csv"],
+            "compare": ["compare_I.csv", "compare_R.csv", "compare_S.csv"],
+            "sweep": ["samples_alpha_0.5.csv", "samples_alpha_1.0.csv"],
+            "conformable": ["conformable.csv"],
+        }[command]
+
+    @pytest.mark.parametrize("fail", [_disk_full_after_first_row, _rename_fails])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failed_write_leaves_no_file(self, tmp_path: Path, command, fail,
+                                         monkeypatch, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        fail(monkeypatch)
+        assert cli.main(_cli_args(command, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # Neither the target nor the temporary file beside it is left.
+        assert list(out.iterdir()) == []

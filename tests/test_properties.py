@@ -1,0 +1,111 @@
+"""Property tests of `solve` over random polynomial fields.
+
+Fields have dimension <= 4, monomials of total state degree <= 3 with time
+powers up to 4, and series degree <= 30.  Examples are derandomized so that
+every run checks the same cases.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from fracseries import (  # noqa: E402
+    Monomial,
+    PolynomialVectorField,
+    SeriesProblem,
+    build_defect,
+    solve,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def monomials(draw, dim):
+    powers = [0] * dim
+    for j in draw(st.lists(st.integers(0, dim - 1), max_size=3)):
+        powers[j] += 1
+    return Monomial(draw(finite), tuple(powers), time_power=draw(st.integers(0, 4)))
+
+
+@st.composite
+def problems(draw, conservative=False, max_degree=30):
+    """A random problem; with `conservative`, the last equation is minus the
+    sum of the others, so the equations sum to zero."""
+    dim = draw(st.integers(2 if conservative else 1, 4))
+    equations = [
+        tuple(draw(st.lists(monomials(dim), max_size=4)))
+        for _ in range(dim - 1 if conservative else dim)
+    ]
+    if conservative:
+        equations.append(
+            tuple(dataclasses.replace(m, coeff=-m.coeff) for eq in equations for m in eq)
+        )
+    field = PolynomialVectorField(
+        equations=tuple(equations), variable_names=tuple(f"y{j}" for j in range(dim))
+    )
+    return SeriesProblem(
+        field=field,
+        y0=tuple(draw(st.floats(-1.5, 1.5)) for _ in range(dim)),
+        alpha=draw(st.floats(0.1, 1.0)),
+        t0=draw(st.sampled_from([0.0, 1.5])),
+        degree=draw(st.integers(0, max_degree)),
+    )
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, which == alone does not.
+    return [float(v).hex() for v in values]
+
+
+@SETTINGS
+@given(problems(max_degree=29))
+def test_degree_n_solution_is_prefix_of_degree_n_plus_one(problem):
+    shorter = solve(problem)
+    longer = solve(dataclasses.replace(problem, degree=problem.degree + 1))
+    for s, l in zip(shorter.series, longer.series):
+        assert _bits(l.coeffs[:-1]) == _bits(s.coeffs)
+
+
+@SETTINGS
+@given(problems(conservative=True))
+def test_conservative_fields_keep_coefficient_sums_at_zero(problem):
+    # The same problem with every coefficient and initial value replaced by its
+    # absolute value majorizes each product and sum that `solve` forms, so
+    # its coefficients bound the rounding error of the sums.
+    majorant = dataclasses.replace(
+        problem,
+        field=dataclasses.replace(
+            problem.field,
+            equations=tuple(
+                tuple(dataclasses.replace(m, coeff=abs(m.coeff)) for m in eq)
+                for eq in problem.field.equations
+            ),
+        ),
+        y0=tuple(abs(v) for v in problem.y0),
+    )
+    series = solve(problem).series
+    bound = solve(majorant).series
+    for i in range(1, problem.degree + 1):
+        total = math.fsum(s.coeffs[i] for s in series)
+        scale = math.fsum(b.coeffs[i] for b in bound)
+        assert abs(total) <= 1e-12 * scale, (i, total, scale)
+
+
+@SETTINGS
+@given(problems())
+def test_defect_coefficients_match_build_defect(problem):
+    solution = solve(problem)
+    n = problem.degree
+    if n == 0:
+        expected = [[] for _ in solution.series]
+    else:
+        defect = build_defect(problem.field, list(solution.series), n - 1)
+        expected = [_bits(d.coefficient(k) for k in range(n)) for d in defect]
+    assert [_bits(row) for row in solution.defect_coefficients] == expected

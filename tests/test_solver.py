@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import importlib
 import random
 
 import pytest
@@ -336,6 +338,73 @@ def test_degree_n_solution_is_prefix_of_degree_n_plus_one(sir_spec, alpha):
         longer = solve(SeriesProblem(field=field, y0=y0, alpha=alpha, t0=0.0, degree=21))
         for s, l in zip(shorter.series, longer.series):
             assert _bits(l.coeffs[:-1]) == _bits(s.coeffs)
+
+
+# Every binding through which the literal defect path can be reached.
+_DEFECT_PATH_SITES = (
+    ("fracseries.solver", "build_defect"),
+    ("fracseries.solver", "compose_series"),
+    ("fracseries.field", "compose_series"),
+    ("fracseries.field", "multiply_truncated"),
+    ("fracseries.fracpoly", "multiply_truncated"),
+)
+
+
+def _count_defect_path_calls(monkeypatch):
+    calls = collections.Counter()
+    for module_name, name in _DEFECT_PATH_SITES:
+        module = importlib.import_module(module_name)
+
+        def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _sir_problem(sir_spec, alpha, degree):
+    return SeriesProblem(
+        field=sir_spec.field(), y0=INITIAL, alpha=alpha, t0=0.0, degree=degree
+    )
+
+
+def _random_problem(seed, degree):
+    rng = random.Random(seed)
+    field = _rich_random_field(rng, 3)
+    y0 = tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
+    return SeriesProblem(field=field, y0=y0, alpha=0.5, t0=0.0, degree=degree)
+
+
+@pytest.mark.parametrize("which", ["sir", "random"])
+def test_solve_builds_no_defect(sir_spec, monkeypatch, which):
+    problem = _sir_problem(sir_spec, 0.5, 40) if which == "sir" else _random_problem(3, 40)
+    calls = _count_defect_path_calls(monkeypatch)
+    solution = solve(problem)
+    assert calls == {}
+    assert solution.problem is problem
+    assert "defect_coefficients" not in vars(solution)
+
+
+def test_defect_coefficients_computed_once_on_first_access(sir_spec, monkeypatch):
+    solution = solve(_sir_problem(sir_spec, 0.75, 20))
+    calls = _count_defect_path_calls(monkeypatch)
+    first = solution.defect_coefficients
+    assert calls["build_defect"] == 1
+    assert calls["compose_series"] == 1
+    before = dict(calls)
+    assert solution.defect_coefficients is first
+    assert calls == before
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+def test_defect_coefficients_bit_identical_to_build_defect(sir_spec, alpha):
+    n = 40
+    solution = solve(_sir_problem(sir_spec, alpha, n))
+    defect = build_defect(solution.problem.field, list(solution.series), n - 1)
+    assert [_bits(row) for row in solution.defect_coefficients] == [
+        _bits(d.coefficient(k) for k in range(n)) for d in defect
+    ]
 
 
 def _limits_per_index(problem, series):
