@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 domain/runtime error, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -159,9 +160,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             t0=spec.t0, degree=args.degree,
         )
     )
-    out_dir = _ensure_dir(args.out_dir)
-    _write_coefficients(out_dir / "coefficients.csv", spec, solution)
-    _write_samples(out_dir / "samples.csv", spec, solution, times)
+    tables = [("coefficients.csv", *_coefficients(spec, solution)),
+              ("samples.csv", *_samples(spec, solution, times))]
+    _write_csvs(_ensure_dir(args.out_dir), tables)
     return 0
 
 
@@ -179,9 +180,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         for alpha in args.alpha
     ]
-    out_dir = _ensure_dir(args.out_dir)
-    for alpha, solution in zip(args.alpha, solutions):
-        _write_samples(out_dir / f"samples_alpha_{alpha!r}.csv", spec, solution, times)
+    tables = [
+        (f"samples_alpha_{alpha!r}.csv", *_samples(spec, solution, times))
+        for alpha, solution in zip(args.alpha, solutions)
+    ]
+    _write_csvs(_ensure_dir(args.out_dir), tables)
     return 0
 
 
@@ -189,6 +192,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.alpha != 1.0:
         raise ValueError("compare requires --alpha 1")
     spec = _load_model(args)
+    file_names: dict[str, str] = {}
+    for name in spec.variable_names:
+        file_name = f"compare_{_safe(name)}.csv"
+        if file_name in file_names:
+            raise UsageError(
+                f"variables {file_names[file_name]!r} and {name!r} would both "
+                f"write {file_name}"
+            )
+        file_names[file_name] = name
     field = spec.field()
     solution = solve(
         SeriesProblem(
@@ -206,16 +218,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     else:
         trajectory = _series_trajectory(solution, sample_times)
-    out_dir = _ensure_dir(args.out_dir)
-    for j, name in enumerate(spec.variable_names):
+    tables = []
+    for j, (file_name, name) in enumerate(file_names.items()):
         table = comparison_table(trajectory, solution.series, j, sample_times, name)
         rows = [
             (_fmt(r.t), _fmt(r.reference), _fmt(r.approximation),
              _fmt(r.absolute_error), _fmt(r.relative_error))
             for r in table.rows
         ]
-        _write_csv(out_dir / f"compare_{_safe(name)}.csv",
-                   "t,reference,acps,abs_err,rel_err", rows)
+        tables.append((file_name, "t,reference,acps,abs_err,rel_err", rows))
+    _write_csvs(_ensure_dir(args.out_dir), tables)
     return 0
 
 
@@ -230,8 +242,7 @@ def _cmd_conformable(args: argparse.Namespace) -> int:
         ("ratio", _fmt(report.ratio)),
     ]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, "field,value", rows)
+    _write_csvs(_ensure_dir(str(out.parent)), [(out.name, "field,value", rows)])
     return 0
 
 
@@ -251,29 +262,51 @@ def _sample_grid(t0: float, t_end: float, samples: int) -> list[float]:
     return [t0 + span * (k / samples) for k in range(samples + 1)]
 
 
-def _write_coefficients(path: Path, spec: ModelSpec, solution: SeriesSolution) -> None:
+Table = tuple[str, str, Iterable[tuple[str, ...]]]  # file name, header, rows
+
+
+def _coefficients(spec: ModelSpec, solution: SeriesSolution) -> tuple[str, list]:
     rows = []
     for name, series in zip(spec.variable_names, solution.series):
         for index, c in enumerate(series.coeffs):
             rows.append((name, str(index), _fmt(c)))
-    _write_csv(path, "variable,index,coefficient", rows)
+    return "variable,index,coefficient", rows
 
 
-def _write_samples(
-    path: Path, spec: ModelSpec, solution: SeriesSolution, times: list[float]
-) -> None:
+def _samples(
+    spec: ModelSpec, solution: SeriesSolution, times: list[float]
+) -> tuple[str, list]:
     header = "t," + ",".join(spec.variable_names)
     rows = [
         (_fmt(t),) + tuple(_fmt(s.evaluate(t)) for s in solution.series)
         for t in times
     ]
-    _write_csv(path, header, rows)
+    return header, rows
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[tuple[str, ...]]) -> None:
-    """Write the file under a fresh temporary name beside `path`, then rename
-    it onto `path`, so a write that fails part-way leaves neither a partial
-    `path` nor the temporary file."""
+def _write_csvs(out_dir: Path, tables: list[Table]) -> None:
+    """Write every table to a temporary file in `out_dir`, then rename them
+    all onto their targets.  On any failure the temporary files are deleted,
+    and so are the targets this call already renamed, so a failing run leaves
+    no output of its own."""
+    tmps: list[Path] = []
+    renamed: list[Path] = []
+    try:
+        for name, header, rows in tables:
+            tmps.append(_write_csv(out_dir / name, header, rows))
+        for tmp, (name, _, _) in zip(tmps, tables):
+            os.replace(tmp, out_dir / name)
+            renamed.append(out_dir / name)
+    except BaseException:
+        for path in tmps + renamed:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+
+
+def _write_csv(path: Path, header: str, rows: Iterable[tuple[str, ...]]) -> Path:
+    """Write the table to a fresh temporary file beside `path` and return
+    that file's path; a write that fails part-way deletes it."""
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
@@ -281,10 +314,10 @@ def _write_csv(path: Path, header: str, rows: Iterable[tuple[str, ...]]) -> None
             fh.write(header + "\n")
             for row in rows:
                 fh.write(",".join(row) + "\n")
-        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return tmp
 
 
 def _fmt(x: float) -> str:

@@ -15,25 +15,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .fracpoly import FractionalPolynomial, add_scaled, multiply_truncated
 
 
 @dataclass(frozen=True)
 class Monomial:
-    """One term coeff * ((t-t0)^alpha)^time_power * prod_j y_j^state_powers[j]."""
+    """One term coeff * ((t-t0)^alpha)^time_power * prod_j y_j^state_powers[j].
+
+    Powers must be non-negative integers; integral values such as 2.0 are
+    stored as int, anything else raises ValueError.
+    """
 
     coeff: float
     state_powers: tuple[int, ...]
     time_power: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "state_powers", tuple(int(e) for e in self.state_powers))
-        if any(e < 0 for e in self.state_powers):
-            raise ValueError(f"state powers must be non-negative, got {self.state_powers}")
-        if self.time_power < 0:
-            raise ValueError(f"time power must be non-negative, got {self.time_power}")
+        powers = tuple(_power(e, "state") for e in self.state_powers)
+        object.__setattr__(self, "state_powers", powers)
+        object.__setattr__(self, "time_power", _power(self.time_power, "time"))
+
+
+def _power(e: object, kind: str) -> int:
+    """`e` as a plain int, which it must equal (so 2.0 gives 2, 1.5 fails)."""
+    try:
+        n = int(e)
+    except (TypeError, ValueError, OverflowError):
+        n = -1
+    if n < 0 or n != e:
+        raise ValueError(f"{kind} powers must be non-negative integers, got {e!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class PolynomialVectorField:
                         f"system dimension is {dim}"
                     )
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return len(self.equations)
 
@@ -79,6 +92,8 @@ class FieldPlan:
     chain of nodes; chains share prefixes such as SIR's S*I.  Per equation,
     `terms` lists (coeff, time_power, chain's last node) and `points` lists
     (coeff, time_power, ((j, e) for every e > 0)), one entry per monomial.
+    Point evaluation runs one function per field, `evaluate`, generated from
+    `points` on first use, so `solve` never pays to build it.
     """
 
     def __init__(self, field: PolynomialVectorField) -> None:
@@ -99,20 +114,34 @@ class FieldPlan:
                 self.terms[-1].append((m.coeff, m.time_power, index[chain]))
                 self.points[-1].append((m.coeff, m.time_power, factors))
 
-    def evaluate(self, t_shifted_pow_alpha: float, y: Sequence[float]) -> list[float]:
-        """`evaluate_field` without its argument checks."""
-        out = []
-        for terms in self.points:
-            acc = 0.0
+    @cached_property
+    def evaluate(self) -> Callable[[float, Sequence[float]], list[float]]:
+        """`evaluate_field` without its argument checks, as `evaluate(u, y)`.
+
+        Generated and compiled on first use: one straight-line statement
+        `e_i += c * u ** p * y[j] * y[k] ** e ...` per monomial, summed from
+        0.0 in the order of `points`.  The source holds only names, indices
+        and integer exponents; the coefficients are globals of the function.
+        """
+        namespace: dict[str, object] = {}
+        lines = ["def evaluate(u, y):"]
+        for i, terms in enumerate(self.points):
+            lines.append(f" e{i} = 0.0")
             for coeff, time_power, factors in terms:
-                v = coeff
-                if time_power:
-                    v *= t_shifted_pow_alpha**time_power
-                for j, e in factors:
-                    v *= y[j] if e == 1 else y[j] ** e
-                acc += v
-            out.append(acc)
-        return out
+                f = [f"c{len(namespace)}"] + ([f"u ** {time_power}"] if time_power else [])
+                f += [f"y[{j}]" if e == 1 else f"y[{j}] ** {e}" for j, e in factors]
+                namespace[f[0]] = coeff
+                while len(f) > 64:  # bounds the depth the compiler recurses into
+                    lines.append(f" v = {' * '.join(f[:64])}")
+                    f = ["v"] + f[64:]
+                lines.append(f" e{i} += {' * '.join(f)}")
+        lines.append(f" return [{', '.join(f'e{i}' for i in range(len(self.points)))}]")
+        exec(compile("\n".join(lines), "<field plan>", "exec"), namespace)
+        return namespace.pop("evaluate")
+
+    def __getstate__(self) -> dict:
+        # The generated function cannot be pickled; it is rebuilt on first use.
+        return {k: v for k, v in vars(self).items() if k != "evaluate"}
 
 
 def evaluate_field(

@@ -1,5 +1,7 @@
 import csv
 import errno
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +228,22 @@ class TestCompare:
         assert cp.returncode == 1
         assert "0.1" in cp.stderr
 
+    @pytest.mark.parametrize("names", [["a b", "a_b"], ["x", "x"]])
+    def test_variables_sharing_an_output_file_rejected(self, tmp_path: Path, names):
+        # "a b" and "a_b" would both write compare_a_b.csv, one table lost.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "variables": names, "initial": [1.0, 2.0], "alpha": 1.0, "t0": 0.0,
+            "equations": [[{"coeff": -1.0, "powers": [0, 1]}],
+                          [{"coeff": 1.0, "powers": [1, 0]}]],
+        }))
+        out = tmp_path / "o"
+        cp = run_cli("compare", "--model", str(model), "--out-dir", str(out))
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "compare_" in cp.stderr and "Traceback" not in cp.stderr
+        assert not out.exists()
+
 
 class TestConformable:
     def test_integer_order(self, tmp_path: Path):
@@ -321,6 +339,32 @@ def _rename_fails(monkeypatch):
     monkeypatch.setattr(cli.os, "replace", failing)
 
 
+def _second_write_fails(monkeypatch):
+    write_csv, calls = cli._write_csv, []
+
+    def failing(path, header, rows):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", failing)
+    return calls
+
+
+def _second_rename_fails(monkeypatch):
+    replace, calls = os.replace, []
+
+    def failing(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    return calls
+
+
 COMMANDS = ("solve", "compare", "sweep", "conformable")
 
 
@@ -349,4 +393,19 @@ class TestAtomicWrites:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         # Neither the target nor the temporary file beside it is left.
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fail", [_second_write_fails, _second_rename_fails])
+    @pytest.mark.parametrize("command", ["solve", "compare", "sweep"])
+    def test_failure_on_a_later_file_leaves_no_file(self, tmp_path: Path, command,
+                                                    fail, monkeypatch, capsys):
+        # The first file is complete (written, or even renamed into place)
+        # when the second fails; the run still leaves nothing behind.
+        out = tmp_path / "o"
+        out.mkdir()
+        calls = fail(monkeypatch)
+        assert cli.main(_cli_args(command, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(calls) == 2
         assert list(out.iterdir()) == []

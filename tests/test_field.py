@@ -1,3 +1,6 @@
+import builtins
+import math
+import pickle
 import random
 
 import pytest
@@ -7,9 +10,11 @@ from fracseries import (
     GridMismatchError,
     Monomial,
     PolynomialVectorField,
+    SeriesProblem,
     compose_series,
     evaluate_field,
     sir_field,
+    solve,
 )
 
 from sir_reference import COEFFS_DEG9
@@ -41,6 +46,30 @@ class TestValidation:
                 equations=((Monomial(1.0, (1,)),),), variable_names=("a", "b")
             )
 
+    @pytest.mark.parametrize("powers, time_power", [
+        ((1.5,), 0), ((1,), 1.5), ((math.nan,), 0), ((1,), math.inf), (("2",), 0),
+        ((None,), 0),
+    ])
+    def test_non_integer_power_rejected(self, powers, time_power):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Monomial(1.0, powers, time_power)
+
+    def test_integral_powers_stored_as_int(self):
+        m = Monomial(1.0, (2.0, True, 0), time_power=3.0)
+        assert m.state_powers == (2, 1, 0) and m.time_power == 3
+        assert all(type(e) is int for e in (*m.state_powers, m.time_power))
+
+    def test_integral_float_powers_solve_like_ints(self):
+        # A float time power used to reach solve, which indexes lists with it.
+        def coeffs(powers, time_power):
+            field = PolynomialVectorField(
+                equations=((Monomial(0.5, powers, time_power),),), variable_names=("y",)
+            )
+            problem = SeriesProblem(field=field, y0=(1.0,), alpha=0.5, t0=0.0, degree=8)
+            return solve(problem).series[0].coeffs
+
+        assert coeffs((2.0,), 1.0) == coeffs((2,), 1)
+
 
 class TestEvaluateField:
     def test_sir_at_initial_state(self):
@@ -71,16 +100,16 @@ class TestEvaluateField:
             evaluate_field(IDENTITY_1D, -0.1, (1.0,))
 
     def test_bit_identical_to_monomial_walk(self):
-        # Literal reference: coefficient, then time power, then every state
-        # power in variable order, monomials summed in order.
         rng = random.Random(3)
-        for _ in range(200):
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        for _ in range(300):
             dim = rng.randint(1, 4)
             field = PolynomialVectorField(
                 equations=tuple(
                     tuple(
                         Monomial(
-                            rng.uniform(-1.5, 1.5),
+                            rng.choice(special) if rng.random() < 0.15
+                            else rng.uniform(-1.5, 1.5),
                             tuple(rng.choice([0, 1, 2, 3, 4]) for _ in range(dim)),
                             time_power=rng.randint(0, 3),
                         )
@@ -88,24 +117,54 @@ class TestEvaluateField:
                     )
                     for _ in range(dim)
                 ),
-                variable_names=tuple(f"y{j}" for j in range(dim)),
+                # Names never reach the generated source.
+                variable_names=tuple(f"__import__('os')\n#{j}" for j in range(dim)),
             )
-            y = [rng.uniform(-2.0, 2.0) for _ in range(dim)]
-            u = rng.uniform(0.0, 3.0)
-            want = []
-            for terms in field.equations:
-                acc = 0.0
-                for m in terms:
-                    v = m.coeff
-                    if m.time_power:
-                        v *= u**m.time_power
-                    for yj, e in zip(y, m.state_powers):
-                        if e:
-                            v *= yj if e == 1 else yj**e
-                    acc += v
-                want.append(acc)
-            got = evaluate_field(field, u, y)
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+            y = [rng.choice([0.0, -0.0]) if rng.random() < 0.2 else rng.uniform(-2.0, 2.0)
+                 for _ in range(dim)]
+            u = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+            _assert_same_bits(evaluate_field(field, u, y), _walk(field, u, y))
+
+    def test_long_equation_and_wide_monomial(self):
+        # Written as one expression, either would nest deeper than the
+        # compiler recurses (about 3000 levels) and raise RecursionError.
+        rng = random.Random(5)
+        long_eq = tuple(
+            Monomial(rng.uniform(-1, 1), (k % 3, k % 2), k % 4) for k in range(5000)
+        )
+        dim = 3200
+        wide = Monomial(0.5, tuple(1 + (j % 7 == 0) for j in range(dim)), 1)
+        for field in (
+            PolynomialVectorField(equations=(long_eq, ()), variable_names=("a", "b")),
+            PolynomialVectorField(
+                equations=((wide,),) + ((),) * (dim - 1),
+                variable_names=tuple(f"y{j}" for j in range(dim)),
+            ),
+        ):
+            y = [rng.uniform(0.99, 1.01) for _ in range(field.dimension)]
+            _assert_same_bits(evaluate_field(field, 0.7, y), _walk(field, 0.7, y))
+
+
+def _walk(field, u, y):
+    """Literal reference: coefficient, then time power, then every state
+    power in variable order, monomials summed in order from 0.0."""
+    out = []
+    for terms in field.equations:
+        acc = 0.0
+        for m in terms:
+            v = m.coeff
+            if m.time_power:
+                v *= u**m.time_power
+            for yj, e in zip(y, m.state_powers):
+                if e:
+                    v *= yj if e == 1 else yj**e
+            acc += v
+        out.append(acc)
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestPlan:
@@ -130,6 +189,29 @@ class TestPlan:
     def test_built_once_per_field(self):
         field = sir_field(0.001, 0.072)
         assert field.plan is field.plan
+
+    def test_solve_leaves_the_evaluator_unbuilt(self):
+        field = sir_field(0.001, 0.072)
+        solve(SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=0.5, t0=0.0, degree=20))
+        assert "evaluate" not in field.plan.__dict__
+
+    def test_pickles_after_evaluation(self):
+        field = sir_field(0.001, 0.072)
+        want = evaluate_field(field, 0.5, (620.0, 10.0, 70.0))
+        copy = pickle.loads(pickle.dumps(field))
+        assert "evaluate" not in copy.plan.__dict__
+        assert evaluate_field(copy, 0.5, (620.0, 10.0, 70.0)) == want
+
+    def test_evaluator_built_once_per_plan(self, monkeypatch):
+        field = sir_field(0.001, 0.072)
+        compiles = []
+        real_compile = builtins.compile
+        monkeypatch.setattr(builtins, "compile",
+                            lambda *a, **k: compiles.append(a) or real_compile(*a, **k))
+        for u in (0.0, 0.5, 1.0):
+            evaluate_field(field, u, (620.0, 10.0, 70.0))
+        assert len(compiles) == 1
+        assert field.plan.evaluate is field.plan.evaluate
 
 
 class TestComposeSeries:
