@@ -92,27 +92,66 @@ class FieldPlan:
     chain of nodes; chains share prefixes such as SIR's S*I.  Per equation,
     `terms` lists (coeff, time_power, chain's last node) and `points` lists
     (coeff, time_power, ((j, e) for every e > 0)), one entry per monomial.
-    Point evaluation runs one function per field, `evaluate`, generated from
-    `points` on first use, so `solve` never pays to build it.
+    Two functions are generated from these on first use, each once per
+    field: `recurrence` (from `nodes` and `terms`) runs `solve`'s coefficient
+    recursion, and `evaluate` (from `points`) evaluates the field at a
+    point.  Neither builds the other.
     """
 
     def __init__(self, field: PolynomialVectorField) -> None:
         self.nodes, self.terms, self.points = [(-1, -1)], [], []
-        index: dict[tuple[int, ...], int] = {(): 0}
+        index: dict[tuple[int, int], int] = {}  # (parent, j) -> node
         for equation in field.equations:
             self.terms.append([])
             self.points.append([])
             for m in equation:
-                chain: tuple[int, ...] = ()
+                node = 0
                 for j, e in enumerate(m.state_powers):
                     for _ in range(e):
-                        parent, chain = index[chain], chain + (j,)
-                        if chain not in index:
-                            index[chain] = len(self.nodes)
-                            self.nodes.append((parent, j))
+                        if (node, j) not in index:
+                            index[node, j] = len(self.nodes)
+                            self.nodes.append((node, j))
+                        node = index[node, j]
                 factors = tuple((j, e) for j, e in enumerate(m.state_powers) if e)
-                self.terms[-1].append((m.coeff, m.time_power, index[chain]))
+                self.terms[-1].append((m.coeff, m.time_power, node))
                 self.points[-1].append((m.coeff, m.time_power, factors))
+
+    @cached_property
+    def recurrence(self) -> Callable[[int, Sequence[float], Sequence[float]], list[list[float]]]:
+        """`solve`'s coefficient lists for degree n, as `recurrence(n, y0, g)`.
+
+        With g[i] = Gamma(i*alpha + 1), step i appends g[i-1]/g[i] times slot
+        i-1 of f(t, P) to each list.  Generated and compiled on first use, as
+        one loop over i that serves every degree and alpha.  Node k keeps its
+        slots in `s{k}` and sums slot i-1 from 0.0 in `multiply_truncated`'s
+        order, skipping zero parent slots; each equation sums its `terms` from
+        0.0 in order, as `compose_series` does.  The source holds only names,
+        integers, 0.0 and 1.0; the coefficients are globals of the function.
+        """
+        namespace: dict[str, object] = {}
+        lines = ["def recurrence(n, y0, g):"]
+        # Descending, so the argument y0 is read before the list y0 rebinds it.
+        lines += [f" y{j} = [y0[{j}]]" for j in reversed(range(len(self.terms)))]
+        lines += [f" s{k} = []" for k in range(1, len(self.nodes))]
+        lines += [" for i in range(1, n + 1):", "  ratio = g[i - 1] / g[i]"]
+        for k, (parent, j) in enumerate(self.nodes[1:], 1):
+            if parent == 0:
+                lines.append(f"  s{k}.append(0.0 + 1.0 * y{j}[-1])")
+                continue
+            lines += ["  acc = 0.0", f"  for left, right in zip(s{parent}, reversed(y{j})):",
+                      "   if left != 0.0:", "    acc += left * right", f"  s{k}.append(acc)"]
+        for j, terms in enumerate(self.terms):
+            lines.append("  acc = 0.0")
+            for coeff, p, node in terms:
+                c = f"c{len(namespace)}"
+                namespace[c] = coeff
+                guard = f"if i == {p + 1}: " if node == 0 else f"if i > {p}: " if p else ""
+                slot = "1.0" if node == 0 else f"s{node}[{-1 - p}]"  # node 0 is the constant 1
+                lines.append(f"  {guard}acc += {c} * {slot}")
+            lines.append(f"  y{j}.append(ratio * acc)")
+        lines.append(f" return [{', '.join(f'y{j}' for j in range(len(self.terms)))}]")
+        exec(compile("\n".join(lines), "<field plan>", "exec"), namespace)
+        return namespace.pop("recurrence")
 
     @cached_property
     def evaluate(self) -> Callable[[float, Sequence[float]], list[float]]:
@@ -140,8 +179,8 @@ class FieldPlan:
         return namespace.pop("evaluate")
 
     def __getstate__(self) -> dict:
-        # The generated function cannot be pickled; it is rebuilt on first use.
-        return {k: v for k, v in vars(self).items() if k != "evaluate"}
+        # Generated functions cannot be pickled; they are rebuilt on first use.
+        return {k: v for k, v in vars(self).items() if k not in ("evaluate", "recurrence")}
 
 
 def evaluate_field(

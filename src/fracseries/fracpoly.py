@@ -54,7 +54,7 @@ class FractionalPolynomial:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if not coeffs:
             raise ValueError("a polynomial needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)

@@ -12,13 +12,14 @@ conditions into an explicit linear step:
     c_i[j] = Gamma((i-1)*alpha + 1) / Gamma(i*alpha + 1)
              * (slot i-1 coefficient of f(t, P) for equation j).
 
-`solve` runs this recursion in O(n^2) over the field's compiled plan
-(`PolynomialVectorField.plan`): each chain of partial products keeps its
-grid slots in a float list, and step i appends slot i-1 of every chain in
-the order `compose_series` sums it, so the coefficients are bit-identical to
-recomposing the whole field at every step.  `solve` stops there: the defect
-diagnostics (`SeriesSolution.defect_coefficients`) are computed only when
-first read.  They and `verify_defect_conditions` stay on the literal path
+`solve` runs this recursion in O(n^2) through a function generated once per
+field (`FieldPlan.recurrence`, on `PolynomialVectorField.plan`): one loop over
+i in which each chain of partial products appends grid slot i-1 to its own
+float list, then every equation sums its terms in the order `compose_series`
+sums them, so the coefficients are bit-identical to recomposing the whole
+field at every step.  `solve` stops there: the defect diagnostics
+(`SeriesSolution.defect_coefficients`) are computed only when first read.
+They and `verify_defect_conditions` stay on the literal path
 (`compose_series`, then repeated Caputo derivatives), with no shortcut shared
 with `solve`.  The oracle walks one derivative chain per defect component and
 reads every limit off it on the way, so it too costs O(n^2) rather than
@@ -105,26 +106,8 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
     """
     n = problem.degree
     a = problem.alpha
-    plan = problem.field.plan
-    coeffs = [[v] for v in problem.y0]
-    slots = [[1.0]] + [[] for _ in plan.nodes[1:]]  # grid slots of each node's product
     g = [gamma(i * a + 1.0) for i in range(n + 1)]
-    for i in range(1, n + 1):
-        ratio = g[i - 1] / g[i]
-        reversed_coeffs = [c[::-1] for c in coeffs]
-        for (parent, j), out in zip(plan.nodes[1:], slots[1:]):
-            acc = 0.0  # slot i-1, summed in multiply_truncated's order
-            for left, right in zip(slots[parent], reversed_coeffs[j]):
-                if left != 0.0:
-                    acc += left * right
-            out.append(acc)
-        for c, terms in zip(coeffs, plan.terms):
-            acc = 0.0  # slot i-1 of compose_series, monomials added in order
-            for coeff, time_power, node in terms:
-                k = i - 1 - time_power
-                if 0 <= k < len(slots[node]):
-                    acc += coeff * slots[node][k]
-            c.append(ratio * acc)
+    coeffs = problem.field.plan.recurrence(n, problem.y0, g)
     series = tuple(FractionalPolynomial(a, problem.t0, tuple(c)) for c in coeffs)
     return SeriesSolution(series=series, problem=problem)
 

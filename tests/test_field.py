@@ -1,7 +1,9 @@
 import builtins
+import io
 import math
 import pickle
 import random
+import tokenize
 
 import pytest
 
@@ -195,12 +197,24 @@ class TestPlan:
         solve(SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=0.5, t0=0.0, degree=20))
         assert "evaluate" not in field.plan.__dict__
 
+    def test_evaluate_field_leaves_the_recurrence_unbuilt(self):
+        field = sir_field(0.001, 0.072)
+        evaluate_field(field, 0.5, (620.0, 10.0, 70.0))
+        assert "recurrence" not in field.plan.__dict__
+
     def test_pickles_after_evaluation(self):
         field = sir_field(0.001, 0.072)
+        problem = SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=0.5, t0=0.0, degree=30)
+        want_series = [s.coeffs for s in solve(problem).series]
         want = evaluate_field(field, 0.5, (620.0, 10.0, 70.0))
         copy = pickle.loads(pickle.dumps(field))
         assert "evaluate" not in copy.plan.__dict__
+        assert "recurrence" not in copy.plan.__dict__
         assert evaluate_field(copy, 0.5, (620.0, 10.0, 70.0)) == want
+        solved = solve(SeriesProblem(field=copy, y0=problem.y0, alpha=0.5, t0=0.0, degree=30))
+        assert [[c.hex() for c in s.coeffs] for s in solved.series] == [
+            [c.hex() for c in coeffs] for coeffs in want_series
+        ]
 
     def test_evaluator_built_once_per_plan(self, monkeypatch):
         field = sir_field(0.001, 0.072)
@@ -212,6 +226,36 @@ class TestPlan:
             evaluate_field(field, u, (620.0, 10.0, 70.0))
         assert len(compiles) == 1
         assert field.plan.evaluate is field.plan.evaluate
+
+    def test_recurrence_built_once_per_plan(self, monkeypatch):
+        field = sir_field(0.001, 0.072)
+        compiles = []
+        real_compile = builtins.compile
+        monkeypatch.setattr(builtins, "compile",
+                            lambda *a, **k: compiles.append(a) or real_compile(*a, **k))
+        for degree in (0, 9, 40):
+            for alpha in (0.5, 1.0):
+                solve(SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=alpha,
+                                    t0=0.0, degree=degree))
+        assert len(compiles) == 1
+        assert field.plan.recurrence is field.plan.recurrence
+
+    def test_recurrence_source_holds_no_user_value(self, monkeypatch):
+        field = PolynomialVectorField(
+            equations=((Monomial(2.5, (1, 2), 3), Monomial(math.nan, (0, 0), 1)),
+                       (Monomial(-math.inf, (0, 1)),)),
+            variable_names=("__import__('os')", "1e300"),
+        )
+        sources = []
+        real_compile = builtins.compile
+        monkeypatch.setattr(builtins, "compile",
+                            lambda *a, **k: sources.append(a[0]) or real_compile(*a, **k))
+        solve(SeriesProblem(field=field, y0=(0.5, 1.5), alpha=0.5, t0=0.0, degree=3))
+        (source,) = sources
+        numbers = {t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+                   if t.type == tokenize.NUMBER}
+        assert all(v.isdigit() or v in ("0.0", "1.0") for v in numbers)
+        assert not any(text in source for text in ("2.5", "nan", "inf", "os", "1e300"))
 
 
 class TestComposeSeries:

@@ -41,6 +41,15 @@ class TestConstruction:
     def test_coefficient_beyond_degree_is_zero(self):
         assert fp(0.5, 0.0, 3.0).coefficient(7) == 0.0
 
+    def test_coefficients_are_coerced_to_float(self):
+        p = fp(0.5, 0.0, 3, True)
+        assert p.coeffs == (3.0, 1.0)
+        assert all(type(c) is float for c in p.coeffs)
+        with pytest.raises(ValueError):
+            fp(0.5, 0.0, 1.0, "x")
+        with pytest.raises(TypeError):
+            fp(0.5, 0.0, None)
+
 
 class TestEvaluate:
     def test_series_at_center_is_constant_term(self):

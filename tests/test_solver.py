@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import importlib
+import math
 import random
 
 import pytest
@@ -323,6 +324,143 @@ def test_random_fields_bit_identical_to_recomposition(seed):
             degree=rng.randint(0, 25),
         )
         _assert_matches_recomposition(problem)
+
+
+def _interpreted_recurrence(plan, n, y0, g):
+    """Literal reference: the node and term loops `solve` interpreted over
+    the plan before `FieldPlan.recurrence` was generated from it.
+
+    Every node keeps its grid slots in a list; step i appends slot i-1 of
+    each node (zero parent slots skipped) and then of each equation.
+    """
+    coeffs = [[v] for v in y0]
+    slots = [[1.0]] + [[] for _ in plan.nodes[1:]]
+    for i in range(1, n + 1):
+        ratio = g[i - 1] / g[i]
+        reversed_coeffs = [c[::-1] for c in coeffs]
+        for (parent, j), out in zip(plan.nodes[1:], slots[1:]):
+            acc = 0.0
+            for left, right in zip(slots[parent], reversed_coeffs[j]):
+                if left != 0.0:
+                    acc += left * right
+            out.append(acc)
+        for c, terms in zip(coeffs, plan.terms):
+            acc = 0.0
+            for coeff, time_power, node in terms:
+                k = i - 1 - time_power
+                if 0 <= k < len(slots[node]):
+                    acc += coeff * slots[node][k]
+            c.append(ratio * acc)
+    return coeffs
+
+
+def _assert_matches_interpreted(problem):
+    g = [gamma(i * problem.alpha + 1.0) for i in range(problem.degree + 1)]
+    want = _interpreted_recurrence(problem.field.plan, problem.degree, problem.y0, g)
+    assert [_bits(s.coeffs) for s in solve(problem).series] == [_bits(c) for c in want]
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_fields_bit_identical_to_interpreted_loops(seed):
+    # Non-finite coefficients and initial values, which the recomposition
+    # tests leave out, and names that are Python source.
+    rng = random.Random(2000 + seed)
+    for _ in range(10):
+        dim = rng.randint(1, 4)
+        field = _rich_random_field(rng, dim)
+        field = PolynomialVectorField(
+            equations=tuple(
+                tuple(
+                    dataclasses.replace(m, coeff=rng.choice(_SPECIAL))
+                    if rng.random() < 0.2 else m
+                    for m in terms
+                )
+                for terms in field.equations
+            ),
+            variable_names=tuple(f"__import__('os')\n#{j}" for j in range(dim)),
+        )
+        y0 = tuple(rng.choice(_SPECIAL) if rng.random() < 0.3 else rng.uniform(-1.0, 1.0)
+                   for _ in range(dim))
+        _assert_matches_interpreted(SeriesProblem(
+            field=field, y0=y0, alpha=rng.choice([0.5, 1.0]), t0=0.0, degree=rng.randint(0, 12)
+        ))
+
+
+@pytest.mark.parametrize(
+    "y0", [(0.0, math.inf), (-0.0, -math.inf), (math.inf, 0.0), (-math.inf, -0.0)]
+)
+def test_zero_slot_times_infinity_is_skipped(y0):
+    # When the slots of x are zero, x*z skips every product with z's
+    # infinite coefficients instead of forming nan.
+    field = PolynomialVectorField(
+        equations=((Monomial(1.0, (1, 1)),), (Monomial(-1.0, (0, 1)),)),
+        variable_names=("x", "z"),
+    )
+    problem = SeriesProblem(field=field, y0=y0, alpha=0.5, t0=0.0, degree=4)
+    _assert_matches_interpreted(problem)
+    if y0[0] == 0.0:
+        assert solve(problem).series[0].coeffs[1:] == (0.0,) * 4
+
+
+def test_signed_zero_sums_start_from_positive_zero():
+    # -1 * 0.0 is -0.0, and 0.0 + -0.0 is 0.0: no coefficient may be -0.0.
+    field = PolynomialVectorField(
+        equations=((Monomial(-1.0, (1, 0)),), (Monomial(-1.0, (1, 1)),)),
+        variable_names=("x", "z"),
+    )
+    for y0 in [(0.0, 1.0), (-0.0, -0.0), (0.0, -2.0)]:
+        problem = SeriesProblem(field=field, y0=y0, alpha=0.75, t0=0.0, degree=5)
+        _assert_matches_interpreted(problem)
+        assert all(math.copysign(1.0, c) == 1.0 for s in solve(problem).series
+                   for c in s.coeffs[1:])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5])
+def test_constant_monomials_up_to_past_the_degree(degree):
+    # Time powers 0..degree+1 on the constant node: each lands in one slot,
+    # the last in none.
+    constants = tuple(
+        Monomial(0.5 + p, (0, 0), time_power=p) for p in range(degree + 2)
+    )
+    field = PolynomialVectorField(
+        equations=(constants + (Monomial(-0.25, (1, 1), time_power=1),), ()),
+        variable_names=("a", "b"),
+    )
+    problem = SeriesProblem(field=field, y0=(1.0, 2.0), alpha=0.5, t0=0.0, degree=degree)
+    _assert_matches_interpreted(problem)
+    assert solve(problem).series[1].coeffs == (2.0,) + (0.0,) * degree
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_empty_equations(degree):
+    for dim in (0, 1, 3):
+        field = PolynomialVectorField(equations=((),) * dim, variable_names=("y",) * dim)
+        problem = SeriesProblem(field=field, y0=(-0.0,) * dim, alpha=1.0, t0=0.0, degree=degree)
+        _assert_matches_interpreted(problem)
+        assert [s.coeffs for s in solve(problem).series] == [(-0.0,) + (0.0,) * degree] * dim
+
+
+def test_long_equation_and_wide_monomial_match_interpreted_loops():
+    rng = random.Random(5)
+    long_eq = tuple(
+        Monomial(rng.uniform(-1, 1), (k % 3, k % 2), k % 4) for k in range(5000)
+    )
+    dim = 3200
+    wide = Monomial(0.5, tuple(1 + (j % 7 == 0) for j in range(dim)), 1)
+    for field in (
+        PolynomialVectorField(equations=(long_eq, ()), variable_names=("a", "b")),
+        PolynomialVectorField(
+            equations=((wide,),) + ((),) * (dim - 1),
+            variable_names=tuple(f"y{j}" for j in range(dim)),
+        ),
+    ):
+        y0 = tuple(rng.uniform(0.99, 1.01) for _ in range(field.dimension))
+        _assert_matches_interpreted(
+            SeriesProblem(field=field, y0=y0, alpha=0.5, t0=0.0, degree=4)
+        )
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
