@@ -92,10 +92,10 @@ class FieldPlan:
     chain of nodes; chains share prefixes such as SIR's S*I.  Per equation,
     `terms` lists (coeff, time_power, chain's last node) and `points` lists
     (coeff, time_power, ((j, e) for every e > 0)), one entry per monomial.
-    Two functions are generated from these on first use, each once per
-    field: `recurrence` (from `nodes` and `terms`) runs `solve`'s coefficient
-    recursion, and `evaluate` (from `points`) evaluates the field at a
-    point.  Neither builds the other.
+    Three functions are generated from these on first use, each once per
+    field and none from another: `recurrence` (from `nodes` and `terms`) runs
+    `solve`'s coefficient recursion; `evaluate` and `rk4` (from `points`, by
+    one statement writer) evaluate the field at a point and run RK4's loop.
     """
 
     def __init__(self, field: PolynomialVectorField) -> None:
@@ -123,30 +123,33 @@ class FieldPlan:
         With g[i] = Gamma(i*alpha + 1), step i appends g[i-1]/g[i] times slot
         i-1 of f(t, P) to each list.  Generated and compiled on first use, as
         one loop over i that serves every degree and alpha.  Node k keeps its
-        slots in `s{k}` and sums slot i-1 from 0.0 in `multiply_truncated`'s
-        order, skipping zero parent slots; each equation sums its `terms` from
-        0.0 in order, as `compose_series` does.  The source holds only names,
-        integers, 0.0 and 1.0; the coefficients are globals of the function.
+        slots in `s{k}`, or is y_j's list if its parent is node 0, and sums
+        slot i-1 from 0.0 in `multiply_truncated`'s order, skipping zero parent
+        slots; each equation sums its `terms` from 0.0 in order, as
+        `compose_series` does.  The source holds only names, integers, 0.0 and
+        1.0; the coefficients are globals of the function.
         """
         namespace: dict[str, object] = {}
         lines = ["def recurrence(n, y0, g):"]
         # Descending, so the argument y0 is read before the list y0 rebinds it.
         lines += [f" y{j} = [y0[{j}]]" for j in reversed(range(len(self.terms)))]
-        lines += [f" s{k} = []" for k in range(1, len(self.nodes))]
+        # A child of node 0 (the constant 1) is y_j itself and keeps no list.
+        name = [f"y{j}" if parent == 0 else f"s{k}" for k, (parent, j) in enumerate(self.nodes)]
+        lines += [f" {s} = []" for s in name[1:] if s[0] == "s"]
         lines += [" for i in range(1, n + 1):", "  ratio = g[i - 1] / g[i]"]
         for k, (parent, j) in enumerate(self.nodes[1:], 1):
-            if parent == 0:
-                lines.append(f"  s{k}.append(0.0 + 1.0 * y{j}[-1])")
-                continue
-            lines += ["  acc = 0.0", f"  for left, right in zip(s{parent}, reversed(y{j})):",
-                      "   if left != 0.0:", "    acc += left * right", f"  s{k}.append(acc)"]
+            if parent != 0:
+                lines += ["  acc = 0.0", f"  for left, right in zip({name[parent]}, reversed(y{j})):",
+                          "   if left != 0.0:", "    acc += left * right", f"  s{k}.append(acc)"]
         for j, terms in enumerate(self.terms):
             lines.append("  acc = 0.0")
             for coeff, p, node in terms:
                 c = f"c{len(namespace)}"
                 namespace[c] = coeff
                 guard = f"if i == {p + 1}: " if node == 0 else f"if i > {p}: " if p else ""
-                slot = "1.0" if node == 0 else f"s{node}[{-1 - p}]"  # node 0 is the constant 1
+                # Node 0 is the constant 1.  Slots are absolute: this phase may
+                # already have appended slot i to a list y_j.
+                slot = "1.0" if node == 0 else f"{name[node]}[i - {1 + p}]"
                 lines.append(f"  {guard}acc += {c} * {slot}")
             lines.append(f"  y{j}.append(ratio * acc)")
         lines.append(f" return [{', '.join(f'y{j}' for j in range(len(self.terms)))}]")
@@ -157,30 +160,66 @@ class FieldPlan:
     def evaluate(self) -> Callable[[float, Sequence[float]], list[float]]:
         """`evaluate_field` without its argument checks, as `evaluate(u, y)`.
 
-        Generated and compiled on first use: one straight-line statement
-        `e_i += c * u ** p * y[j] * y[k] ** e ...` per monomial, summed from
-        0.0 in the order of `points`.  The source holds only names, indices
-        and integer exponents; the coefficients are globals of the function.
+        Generated and compiled on first use from `_point_lines`: one
+        straight-line statement per monomial, summed from 0.0 in the order of
+        `points`; the coefficients are globals of the function.
         """
         namespace: dict[str, object] = {}
-        lines = ["def evaluate(u, y):"]
-        for i, terms in enumerate(self.points):
-            lines.append(f" e{i} = 0.0")
-            for coeff, time_power, factors in terms:
-                f = [f"c{len(namespace)}"] + ([f"u ** {time_power}"] if time_power else [])
-                f += [f"y[{j}]" if e == 1 else f"y[{j}] ** {e}" for j, e in factors]
-                namespace[f[0]] = coeff
-                while len(f) > 64:  # bounds the depth the compiler recurses into
-                    lines.append(f" v = {' * '.join(f[:64])}")
-                    f = ["v"] + f[64:]
-                lines.append(f" e{i} += {' * '.join(f)}")
+        lines = ["def evaluate(u, y):", *self._point_lines(namespace, " ", "e{}", "y[{}]")]
         lines.append(f" return [{', '.join(f'e{i}' for i in range(len(self.points)))}]")
         exec(compile("\n".join(lines), "<field plan>", "exec"), namespace)
         return namespace.pop("evaluate")
 
+    @cached_property
+    def rk4(self) -> Callable[..., tuple[list[float], list[tuple[float, ...]]]]:
+        """`rk4_integrate`'s loop, as `rk4(y, k1, t0, h, n_steps, record_every)`.
+
+        `k1` is f(t0, y), the first step's first stage.  Generated on first
+        use with one local per state component and stage value; each stage
+        inlines `_point_lines`, so the float operations are those of calling
+        `evaluate` per stage.  Returns the recorded times and states.
+        """
+        namespace: dict[str, object] = {}
+        dim, timed = range(len(self.points)), any(p for ts in self.points for _, p, _ in ts)
+        y, k1 = "".join(f"y{j}, " for j in dim), "".join(f"k1_{j}, " for j in dim)
+        lines = ["def rk4(y, k1, t0, h, n_steps, record_every):", f" [{y}], [{k1}] = y, k1",
+                 " hh, h6 = 0.5 * h, h / 6.0", f" times, states = [t0], [({y})]",
+                 " for k in range(1, n_steps + 1):", *["  t = t0 + (k - 1) * h"] * timed]
+        first = ["   u = t - t0"] * timed + self._point_lines(namespace, "   ", "k1_{}", "y{}")
+        lines += ["  if k > 1:", *first] if first else []
+        for stage, step in ((2, "hh"), (3, "hh"), (4, "h")):
+            lines += [f"  u = t + {step} - t0"] * (timed and stage != 3)
+            lines += [f"  x{j} = y{j} + {step} * k{stage - 1}_{j}" for j in dim]
+            lines += self._point_lines(namespace, "  ", f"k{stage}_{{}}", "x{}")
+        lines += [f"  y{j} = y{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+                  for j in dim]
+        lines += ["  if k % record_every == 0:", "   times.append(t0 + k * h)",
+                  f"   states.append(({y}))", " return times, states"]
+        exec(compile("\n".join(lines), "<field plan>", "exec"), namespace)
+        return namespace.pop("rk4")
+
+    def _point_lines(self, namespace: dict, indent: str, out: str, state: str) -> list[str]:
+        """Lines setting `out.format(i)` to equation i at time value u and
+        state `state.format(j)`: one `+= c * u ** p * y_j * y_k ** e ...` per
+        monomial, summed from 0.0 in `points` order.  The source holds only
+        names, indices and integer powers; coefficients are globals `c{i}_{m}`.
+        """
+        lines = []
+        for i, terms in enumerate(self.points):
+            lines.append(f"{indent}{out.format(i)} = 0.0")
+            for m, (coeff, time_power, factors) in enumerate(terms):
+                f = [f"c{i}_{m}"] + ([f"u ** {time_power}"] if time_power else [])
+                f += [state.format(j) + (f" ** {e}" if e > 1 else "") for j, e in factors]
+                namespace[f[0]] = coeff
+                while len(f) > 64:  # bounds the depth the compiler recurses into
+                    lines.append(f"{indent}v = {' * '.join(f[:64])}")
+                    f = ["v"] + f[64:]
+                lines.append(f"{indent}{out.format(i)} += {' * '.join(f)}")
+        return lines
+
     def __getstate__(self) -> dict:
         # Generated functions cannot be pickled; they are rebuilt on first use.
-        return {k: v for k, v in vars(self).items() if k not in ("evaluate", "recurrence")}
+        return {k: v for k, v in vars(self).items() if k not in ("evaluate", "recurrence", "rk4")}
 
 
 def evaluate_field(

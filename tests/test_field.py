@@ -15,6 +15,7 @@ from fracseries import (
     SeriesProblem,
     compose_series,
     evaluate_field,
+    rk4_integrate,
     sir_field,
     solve,
 )
@@ -215,6 +216,58 @@ class TestPlan:
         assert [[c.hex() for c in s.coeffs] for s in solved.series] == [
             [c.hex() for c in coeffs] for coeffs in want_series
         ]
+
+    def test_pickles_after_rk4(self):
+        field = sir_field(0.001, 0.072)
+        want = rk4_integrate(field, (620.0, 10.0, 70.0), 0.0, 1.0, 0.01, 3)
+        copy = pickle.loads(pickle.dumps(field))
+        assert "rk4" not in copy.plan.__dict__
+        got = rk4_integrate(copy, (620.0, 10.0, 70.0), 0.0, 1.0, 0.01, 3)
+        assert [[v.hex() for v in s] for s in got.states] == [
+            [v.hex() for v in s] for s in want.states
+        ]
+
+    def test_solve_and_evaluate_field_leave_rk4_unbuilt(self):
+        field = sir_field(0.001, 0.072)
+        solve(SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=1.0, t0=0.0, degree=9))
+        evaluate_field(field, 0.5, (620.0, 10.0, 70.0))
+        assert "rk4" not in field.plan.__dict__
+
+    def test_rk4_integrate_leaves_the_recurrence_unbuilt(self):
+        field = sir_field(0.001, 0.072)
+        rk4_integrate(field, (620.0, 10.0, 70.0), 0.0, 1.0, 0.1)
+        assert "recurrence" not in field.plan.__dict__
+
+    def test_rk4_built_once_per_plan(self, monkeypatch):
+        field = sir_field(0.001, 0.072)
+        sources = []
+        real_compile = builtins.compile
+        monkeypatch.setattr(builtins, "compile",
+                            lambda *a, **k: sources.append(a[0]) or real_compile(*a, **k))
+        for t0, t_end, h, record_every in ((0.0, 1.0, 0.1, 1), (-2.0, 3.0, 0.05, 4),
+                                           (1.5, 2.0, 0.125, 2)):
+            rk4_integrate(field, (620.0, 10.0, 70.0), t0, t_end, h, record_every)
+        # The first call's k1 comes from `evaluate_field`, which builds `evaluate`.
+        assert sorted(src.split("(")[0] for src in sources) == ["def evaluate", "def rk4"]
+        assert field.plan.rk4 is field.plan.rk4
+
+    def test_rk4_source_holds_no_user_value(self, monkeypatch):
+        field = PolynomialVectorField(
+            equations=((Monomial(2.5, (1, 2), 3), Monomial(math.nan, (0, 0), 1)),
+                       (Monomial(-math.inf, (0, 1)),)),
+            variable_names=("__import__('os')", "1e300"),
+        )
+        sources = []
+        real_compile = builtins.compile
+        monkeypatch.setattr(builtins, "compile",
+                            lambda *a, **k: sources.append(a[0]) or real_compile(*a, **k))
+        assert callable(field.plan.rk4)
+        (source,) = sources
+        numbers = {t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+                   if t.type == tokenize.NUMBER}
+        # 0.0 starts every sum; 0.5, 2.0 and 6.0 are RK4's own weights.
+        assert all(v.isdigit() or v in ("0.0", "0.5", "2.0", "6.0") for v in numbers)
+        assert not any(text in source for text in ("2.5", "nan", "inf", "os", "1e300"))
 
     def test_evaluator_built_once_per_plan(self, monkeypatch):
         field = sir_field(0.001, 0.072)

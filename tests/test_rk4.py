@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import fracseries.rk4 as rk4_module
 from fracseries import (
     Monomial,
     PolynomialVectorField,
@@ -121,31 +122,65 @@ def _rk4_reference(field, y0, t0, t_end, h):
     return states
 
 
+TIMED_FIELD = PolynomialVectorField(
+    equations=(
+        (Monomial(-0.5, (3, 0)), Monomial(0.25, (0, 0), time_power=2)),
+        (Monomial(1.0, (1, 2), time_power=1), Monomial(-1.0, (0, 1))),
+    ),
+    variable_names=("a", "b"),
+)
+# One monomial of 1 + 1 + 70 factors: longer than the 64 the writer puts in
+# one statement.
+WIDE_FIELD = PolynomialVectorField(
+    equations=((Monomial(-0.01, (1,) * 69 + (2,), time_power=1),),) + ((),) * 69,
+    variable_names=tuple(f"w{j}" for j in range(70)),
+)
+
+
 @pytest.mark.parametrize(
-    "field,y0,t0",
+    "field,y0,t0,record_every",
     [
-        (sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0),
-        (
-            PolynomialVectorField(
-                equations=(
-                    (Monomial(-0.5, (3, 0)), Monomial(0.25, (0, 0), time_power=2)),
-                    (Monomial(1.0, (1, 2), time_power=1), Monomial(-1.0, (0, 1))),
-                ),
-                variable_names=("a", "b"),
-            ),
-            (0.75, -0.0),
-            1.5,
-        ),
+        (sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0, 1),
+        (sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0, 7),
+        (TIMED_FIELD, (0.75, -0.0), 1.5, 1),
+        (TIMED_FIELD, (0.75, 0.5), -1.25, 3),
+        (TIMED_FIELD, (-0.0, 0.5), -0.0, 1),
+        (PolynomialVectorField(equations=((),), variable_names=("y",)), (2.5,), 0.0, 1),
+        (WIDE_FIELD, tuple(1.0 + j / 1000 for j in range(70)), 0.5, 10),
+        (sir_field(0.001, 0.072), (-0.0, math.inf, math.nan), 0.0, 1),
+        (TIMED_FIELD, (math.inf, -0.0), 0.25, 1),
+        (TIMED_FIELD, (math.nan, 0.5), 0.25, 2),
     ],
 )
-def test_trajectory_bit_identical_to_evaluate_field_loop(field, y0, t0):
-    traj = rk4_integrate(field, y0, t0, t0 + 1.0, 1e-3, 1)
-    want = _rk4_reference(field, y0, t0, t0 + 1.0, 1e-3)
+def test_trajectory_bit_identical_to_evaluate_field_loop(field, y0, t0, record_every):
+    traj = rk4_integrate(field, y0, t0, t0 + 1.0, 1e-3, record_every)
+    want = _rk4_reference(field, y0, t0, t0 + 1.0, 1e-3)[::record_every]
     assert [[v.hex() for v in s] for s in traj.states] == [
         [v.hex() for v in s] for s in want
     ]
+    times = [t0] + [t0 + k * 1e-3 for k in range(record_every, 1001, record_every)]
+    assert [t.hex() for t in traj.times] == [t.hex() for t in times]
 
 
 def test_initial_state_length_rejected():
     with pytest.raises(ValueError):
         rk4_integrate(EXP_FIELD, (1.0, 2.0), 0.0, 1.0, 0.1)
+
+
+def test_state_checked_before_any_step():
+    field = PolynomialVectorField(equations=((Monomial(1.0, (1,)),),), variable_names=("y",))
+    with pytest.raises(ValueError, match="state has length 2, expected 1"):
+        rk4_integrate(field, (1.0, 2.0), 0.0, 1.0, 0.1)
+    assert "rk4" not in field.plan.__dict__
+
+
+def test_one_evaluate_field_call_per_integration(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate_field(*args)
+
+    monkeypatch.setattr(rk4_module, "evaluate_field", counted)
+    rk4_integrate(sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0, 1.0, 0.01)
+    assert len(calls) == 1
