@@ -3,7 +3,7 @@
 The package solves D^alpha y = f(t, y) with polynomial f by matching series
 coefficients so that the defect of the truncated solution vanishes order by
 order, and ships the supporting pieces: fractional-polynomial algebra, a
-Gamma/Beta kernel, a classical RK4 baseline, error tables, a power-rule
+Gamma kernel, a classical RK4 baseline, error tables, a power-rule
 audit of the conformable derivative, and a CSV-emitting CLI.
 """
 
@@ -31,7 +31,7 @@ from .solver import (
     solve,
     verify_defect_conditions,
 )
-from .special import beta, gamma
+from .special import gamma
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "TableRow",
     "Trajectory",
     "add_scaled",
-    "beta",
     "build_defect",
     "caputo_power_rule",
     "caputo_power_value",

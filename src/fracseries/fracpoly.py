@@ -15,14 +15,15 @@ The Caputo derivative acts term-wise through the power rule
         = Gamma(i*alpha + 1) / Gamma((i-1)*alpha + 1) * (t - t0)^((i-1)*alpha)
 
 for i >= 1, and annihilates the constant term.  Coefficients are stored flat
-(no Gamma denominators factored out); `gamma_scaled_coefficients` re-expresses
-them as c_i * Gamma(i*alpha + 1) when a human-comparable form is wanted.
+(no Gamma denominators factored out).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import zip_longest
 
 from .special import gamma
 
@@ -98,19 +99,33 @@ class FractionalPolynomial:
             return self
         return FractionalPolynomial(self.alpha, self.t0, self.coeffs[: max_degree + 1])
 
+    @cached_property
+    def _gamma_table(self) -> list[float]:
+        """Gamma(i*alpha + 1) for every stored grid index i, built on first use.
+
+        Not a dataclass field, so equality, hashing and repr ignore it.
+        """
+        a = self.alpha
+        return [gamma(i * a + 1.0) for i in range(len(self.coeffs))]
+
     def caputo_derivative(self) -> "FractionalPolynomial":
         """Caputo derivative of order alpha (the grid order), applied term-wise.
 
         The constant term is annihilated; term i >= 1 maps to grid slot i - 1
         with coefficient c_i * Gamma(i*alpha + 1) / Gamma((i-1)*alpha + 1).
         The result of differentiating a constant is the zero constant.
+
+        The Gamma values come from this polynomial's table, and the result
+        inherits the table's prefix it needs, so a chain of n derivatives
+        computes each Gamma value once instead of once per link.
         """
         if len(self.coeffs) == 1:
             return FractionalPolynomial(self.alpha, self.t0, (0.0,))
-        a, c = self.alpha, self.coeffs
-        g = [gamma(i * a + 1.0) for i in range(len(c))]
-        new = tuple(c[i] * g[i] / g[i - 1] for i in range(1, len(c)))
-        return FractionalPolynomial(a, self.t0, new)
+        c, g = self.coeffs, self._gamma_table
+        new = [ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)]
+        out = FractionalPolynomial(self.alpha, self.t0, new)
+        vars(out)["_gamma_table"] = g[:-1]
+        return out
 
     def rl_integral(self) -> "FractionalPolynomial":
         """Riemann-Liouville integral of order alpha, applied term-wise.
@@ -143,16 +158,6 @@ class FractionalPolynomial:
             p = p.caputo_derivative()
         return p.coeffs[0]
 
-    def gamma_scaled_coefficients(self) -> tuple[float, ...]:
-        """Coefficients re-expressed as c_i * Gamma(i*alpha + 1).
-
-        This is the form with the Gamma denominator folded back in, i.e. the
-        numerator of c_i when the series is written with explicit
-        1/Gamma(i*alpha + 1) factors.
-        """
-        a = self.alpha
-        return tuple(c * gamma(i * a + 1.0) for i, c in enumerate(self.coeffs))
-
 
 def add_scaled(
     p: FractionalPolynomial, q: FractionalPolynomial, a: float, b: float
@@ -165,8 +170,7 @@ def add_scaled(
         GridMismatchError: if alpha or t0 differ.
     """
     _check_same_grid(p, q)
-    n = max(len(p.coeffs), len(q.coeffs))
-    new = tuple(a * p.coefficient(k) + b * q.coefficient(k) for k in range(n))
+    new = [a * x + b * y for x, y in zip_longest(p.coeffs, q.coeffs, fillvalue=0.0)]
     return FractionalPolynomial(p.alpha, p.t0, new)
 
 
@@ -188,12 +192,11 @@ def multiply_truncated(
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     top = min(max_degree, p.degree + q.degree)
     out = [0.0] * (top + 1)
-    for i, pi in enumerate(p.coeffs):
-        if pi == 0.0 or i > top:
-            continue
-        jmax = min(q.degree, top - i)
-        for j in range(jmax + 1):
-            out[i + j] += pi * q.coeffs[j]
+    qc = q.coeffs
+    for i, pi in enumerate(p.coeffs[: top + 1]):
+        if pi != 0.0:
+            for k, qj in enumerate(qc[: top + 1 - i], i):
+                out[k] += pi * qj
     return FractionalPolynomial(p.alpha, p.t0, tuple(out))
 
 

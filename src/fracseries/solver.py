@@ -22,8 +22,10 @@ field at every step.  `solve` stops there: the defect diagnostics
 They and `verify_defect_conditions` stay on the literal path
 (`compose_series`, then repeated Caputo derivatives), with no shortcut shared
 with `solve`.  The oracle walks one derivative chain per defect component and
-reads every limit off it on the way, so it too costs O(n^2) rather than
-O(n^3).
+reads every limit off it on the way, so it too costs O(n^2) arithmetic rather
+than O(n^3).  Each chain computes its Gamma values once (every derivative
+inherits its parent's table), so a degree-n check makes O(n) `gamma` calls
+per component.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Real-argument Gamma and Beta functions.
+"""Real-argument Gamma function.
 
 Every coefficient formula in this package reduces to ratios of Gamma values.
 `gamma` wraps `math.gamma` (within about 7e-16 relative on (0, 171.6]) and
@@ -28,15 +28,3 @@ def gamma(x: float) -> float:
             pass
     raise OverflowError(f"gamma({x}) exceeds the largest double")
 
-
-def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0.
-
-    The formula is symmetric in (x, y) as computed, not just analytically.
-
-    Raises:
-        ValueError: if either argument is <= 0.
-    """
-    if not x > 0.0 or not y > 0.0:
-        raise ValueError(f"beta: arguments must be positive, got ({x}, {y})")
-    return gamma(x) * gamma(y) / gamma(x + y)

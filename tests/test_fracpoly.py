@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -193,26 +195,38 @@ def _bits(values):
 
 def _random_polys(seed):
     rng = random.Random(seed)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
     for alpha in (0.3, 0.5, 0.75, 0.9, 1.0):
         for degree in (0, 1, 2, 7, 40, 120):
             coeffs = tuple(
-                rng.choice([rng.uniform(-5.0, 5.0), 0.0, -0.0]) for _ in range(degree + 1)
+                rng.choice([rng.uniform(-5.0, 5.0)] * 5 + special) for _ in range(degree + 1)
             )
             yield FractionalPolynomial(alpha, rng.choice([0.0, 1.5]), coeffs)
 
 
+def _literal_caputo(a, c):
+    """The power rule with two `gamma` calls per term, no table."""
+    return tuple(
+        c[i] * gamma(i * a + 1.0) / gamma((i - 1) * a + 1.0) for i in range(1, len(c))
+    ) or (0.0,)
+
+
 class TestOneGammaTable:
-    """Each Gamma value is computed once per call, with the same arguments and
-    the same left-to-right products as the two-`gamma` power rule per term."""
+    """Each Gamma value is computed once per derivative chain, with the same
+    arguments and the same left-to-right products as the two-`gamma` power
+    rule per term."""
 
     def test_caputo_derivative_bit_identical_to_literal_formula(self):
         for p in _random_polys(11):
-            a, c = p.alpha, p.coeffs
-            want = tuple(
-                c[i] * gamma(i * a + 1.0) / gamma((i - 1) * a + 1.0)
-                for i in range(1, len(c))
-            ) or (0.0,)
+            want = _literal_caputo(p.alpha, p.coeffs)
             assert _bits(p.caputo_derivative().coeffs) == _bits(want)
+
+    def test_derivative_chain_bit_identical_to_repeated_literal_formula(self):
+        for p in _random_polys(13):
+            d, want = p, p.coeffs
+            for _ in range(p.degree + 1):
+                d, want = d.caputo_derivative(), _literal_caputo(p.alpha, want)
+                assert _bits(d.coeffs) == _bits(want)
 
     def test_rl_integral_bit_identical_to_literal_formula(self):
         for p in _random_polys(12):
@@ -222,6 +236,106 @@ class TestOneGammaTable:
                 for i in range(len(c))
             )
             assert _bits(p.rl_integral().coeffs) == _bits(want)
+
+    def test_filled_table_leaves_value_semantics_alone(self):
+        coeffs = (620.0, -6.2, 0.0, -0.0, 3.5, math.inf, 1e-3)
+        p = fp(0.75, 1.5, *coeffs)
+        d = p.caputo_derivative()
+        chained = d.caputo_derivative()
+        assert "_gamma_table" in vars(p) and "_gamma_table" in vars(d)
+        for filled, fresh in ((p, fp(0.75, 1.5, *coeffs)), (d, fp(0.75, 1.5, *d.coeffs))):
+            assert "_gamma_table" not in vars(fresh)
+            assert filled == fresh
+            assert hash(filled) == hash(fresh)
+            assert repr(filled) == repr(fresh)
+            assert dataclasses.replace(filled) == fresh
+        copy = pickle.loads(pickle.dumps(d))
+        assert copy == d
+        assert _bits(copy.caputo_derivative().coeffs) == _bits(chained.coeffs)
+
+    # Gamma(172) is the first integer Gamma value beyond the largest double.
+    # A table one entry longer than the polynomial would need it at degree 170.
+    def test_degree_170_at_alpha_one_differentiates(self):
+        p = FractionalPolynomial(1.0, 0.0, (1.0,) * 171)
+        d = p.caputo_derivative()
+        assert d.degree == 169
+        assert _bits(d.coeffs) == _bits(_literal_caputo(1.0, p.coeffs))
+        assert p.sequential_caputo_limit(170) == pytest.approx(gamma(171.0), rel=1e-13)
+
+    def test_degree_171_at_alpha_one_overflows(self):
+        p = FractionalPolynomial(1.0, 0.0, (1.0,) * 172)
+        with pytest.raises(OverflowError, match=r"^gamma\(172\.0\) exceeds the largest double$"):
+            p.caputo_derivative()
+
+
+def _add_scaled_reference(p, q, a, b):
+    """`add_scaled`'s loop as first written, slot by slot through `coefficient`."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return tuple(a * p.coefficient(k) + b * q.coefficient(k) for k in range(n))
+
+
+def _multiply_truncated_reference(p, q, max_degree):
+    """`multiply_truncated`'s loop as first written, by index arithmetic."""
+    top = min(max_degree, p.degree + q.degree)
+    out = [0.0] * (top + 1)
+    for i, pi in enumerate(p.coeffs):
+        if pi == 0.0 or i > top:
+            continue
+        jmax = min(q.degree, top - i)
+        for j in range(jmax + 1):
+            out[i + j] += pi * q.coeffs[j]
+    return tuple(out)
+
+
+def _operand_pairs(seed):
+    """Pairs of unequal and equal lengths whose entries mix finite values,
+    signed zeros (including whole zero rows), infinities and NaN."""
+    rng = random.Random(seed)
+    pools = (
+        [1.0, -2.5, 0.0, -0.0],
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 3.0],
+        [rng.uniform(-4.0, 4.0) for _ in range(6)] + [0.0, -0.0],
+    )
+    for _ in range(150):
+        alpha, t0 = rng.choice([0.25, 0.5, 1.0]), rng.choice([0.0, -1.5])
+        pool_p, pool_q = rng.choice(pools), rng.choice(pools)
+        n_p, n_q = rng.randint(1, 12), rng.choice([rng.randint(1, 12), None])
+        p = FractionalPolynomial(alpha, t0, tuple(rng.choice(pool_p) for _ in range(n_p)))
+        q = FractionalPolynomial(
+            alpha, t0, tuple(rng.choice(pool_q) for _ in range(n_q or n_p))
+        )
+        yield p, q
+
+
+class TestLoopsMatchReference:
+    SCALES = (1.0, -1.0, 2.0, -0.5, 0.0, -0.0, math.inf)
+
+    def test_add_scaled_bit_identical_to_reference(self):
+        for p, q in _operand_pairs(21):
+            for a in self.SCALES:
+                for b in self.SCALES:
+                    for x, y in ((p, q), (q, p)):
+                        got = add_scaled(x, y, a, b).coeffs
+                        assert _bits(got) == _bits(_add_scaled_reference(x, y, a, b))
+
+    def test_add_scaled_negative_scales_pad_with_negative_zero(self):
+        got = add_scaled(fp(0.5, 0.0, 1.0), fp(0.5, 0.0, 1.0, 0.0), -1.0, -1.0).coeffs
+        assert _bits(got) == _bits((-2.0, -0.0))
+
+    def test_multiply_truncated_bit_identical_to_reference(self):
+        for p, q in _operand_pairs(22):
+            full = p.degree + q.degree
+            for max_degree in sorted({0, 1, full - 1, full, full + 1, full + 5} - {-1}):
+                for x, y in ((p, q), (q, p)):
+                    got = multiply_truncated(x, y, max_degree).coeffs
+                    want = _multiply_truncated_reference(x, y, max_degree)
+                    assert _bits(got) == _bits(want)
+
+    def test_multiply_truncated_skips_zero_rows(self):
+        # 0 * inf would make NaN: a zero row of p contributes nothing at all.
+        for zero in (0.0, -0.0):
+            got = multiply_truncated(fp(1.0, 0.0, zero, 2.0), fp(1.0, 0.0, math.inf, 1.0), 2)
+            assert _bits(got.coeffs) == _bits((0.0, math.inf, 2.0))
 
 
 class TestRlIntegral:
@@ -274,15 +388,6 @@ class TestSequentialLimit:
             assert p.sequential_caputo_limit(k) == pytest.approx(
                 want, rel=1e-12, abs=1e-14
             )
-
-
-class TestGammaScaledCoefficients:
-    def test_degree2_half_order_sir_series_form(self):
-        alpha = 0.5
-        p = fp(alpha, 0.0, 620.0, -6.2 / gamma(1 + alpha), -3.3356 / gamma(1 + 2 * alpha))
-        assert p.gamma_scaled_coefficients() == pytest.approx(
-            (620.0, -6.2, -3.3356), rel=1e-12
-        )
 
 
 def test_truncated_keeps_low_terms():

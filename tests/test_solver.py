@@ -613,10 +613,10 @@ def test_perturbed_series_oracle_bit_identical_to_per_index_limits(sir_spec, alp
     _assert_oracle_matches_per_index(problem, perturbed)
 
 
-def test_oracle_gamma_calls_are_quadratic(sir_spec, monkeypatch):
-    # One derivative chain per defect component, one Gamma table per
-    # derivative: at most one call per (chain step, term). The per-index
-    # rebuild made about 40 times as many at this degree.
+def test_oracle_gamma_calls_are_linear(sir_spec, monkeypatch):
+    # One Gamma table per series (its derivative in `build_defect`) and one
+    # per defect chain, each derivative inheriting a prefix of its parent's
+    # table. A table per derivative made about n/4 times as many calls.
     import fracseries.fracpoly
 
     n = 40
@@ -633,7 +633,21 @@ def test_oracle_gamma_calls_are_quadratic(sir_spec, monkeypatch):
     monkeypatch.setattr(fracseries.fracpoly, "gamma", counting_gamma)
     verify_defect_conditions(solution, problem)
     dim = problem.field.dimension
-    assert 0 < len(calls) <= dim * (n + 1) * (n + 2) // 2
+    assert 0 < len(calls) <= 2 * dim * (n + 1)
+
+
+# Gamma(172) is the first integer Gamma value beyond the largest double, so
+# degree 170 is the deepest the Gamma tables reach at alpha 1.
+def test_oracle_at_degree_170_alpha_one(sir_spec):
+    problem = _sir_problem(sir_spec, 1.0, 170)
+    limits = verify_defect_conditions(solve(problem), problem)
+    assert len(limits) == 170
+    assert all(math.isfinite(v) for v in limits)
+
+
+def test_solve_at_degree_171_alpha_one_overflows(sir_spec):
+    with pytest.raises(OverflowError, match=r"^gamma\(172\.0\) exceeds the largest double$"):
+        solve(_sir_problem(sir_spec, 1.0, 171))
 
 
 def _mpmath_sir(mpmath, alpha, degree, p1, p2, y0):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fracseries import beta, gamma
+from fracseries import gamma
 
 
 def test_gamma_at_one():
@@ -61,55 +61,3 @@ def test_gamma_rejects_non_positive(x):
     with pytest.raises(ValueError):
         gamma(x)
 
-
-def test_beta_trivial_values():
-    assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-12)
-    assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-12)
-
-
-@pytest.mark.parametrize("x,y", [(0.3, 1.7), (2.0, 5.5), (0.5, 0.5), (4.1, 0.2)])
-def test_beta_symmetric_as_computed(x, y):
-    assert beta(x, y) == beta(y, x)
-
-
-@pytest.mark.parametrize("x,y", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0)])
-def test_beta_rejects_non_positive(x, y):
-    with pytest.raises(ValueError):
-        beta(x, y)
-
-
-def _tanh_sinh_01(f, n=2100, h=0.003):
-    """Integrate f(u, 1-u) over (0, 1) with a double-exponential rule.
-
-    f receives u and 1-u separately so endpoint powers can be formed without
-    cancellation; the transform clusters nodes at the endpoints, which makes
-    it accurate for integrable algebraic endpoint singularities.
-    """
-    total = 0.0
-    half_pi = 0.5 * math.pi
-    for k in range(-n, n + 1):
-        t = k * h
-        s = half_pi * math.sinh(t)
-        e = math.exp(-2.0 * abs(s))
-        w = half_pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2
-        near, far = e / (1.0 + e), 1.0 / (1.0 + e)
-        u, um1 = (far, near) if s >= 0.0 else (near, far)
-        # Beyond this point weights decay double-exponentially; stopping here
-        # keeps endpoint powers u**b, (1-u)**a finite for exponents > -1.
-        if w == 0.0 or near < 1e-280:
-            continue
-        total += w * f(u, um1)
-    return 0.5 * h * total
-
-
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
-@pytest.mark.parametrize("beta_exp", [1.0, 1.5, 2.0, 3.0])
-def test_beta_equals_singular_kernel_integral(alpha, beta_exp):
-    # B(beta - m + 1, m - alpha) must equal the power-kernel integral
-    # int_0^1 u^(beta-m) (1-u)^(m-alpha-1) du; quadrature is the oracle.
-    m = math.ceil(alpha)
-    a = m - alpha - 1.0
-    b = beta_exp - m
-    oracle = _tanh_sinh_01(lambda u, um1: u**b * um1**a)
-    assert beta(beta_exp - m + 1.0, m - alpha) == pytest.approx(oracle, rel=1e-9)
