@@ -362,6 +362,62 @@ class TestRlIntegral:
             assert back.coeffs == pytest.approx(p.coeffs, rel=1e-12, abs=1e-15)
 
 
+def _tanh_sinh_01(f, n=2100, h=0.003):
+    """Integrate f(u, 1-u) over (0, 1) with a double-exponential rule.
+
+    f receives u and 1-u separately so endpoint powers can be formed without
+    cancellation; the transform clusters nodes at the endpoints, which makes
+    it accurate for integrable algebraic endpoint singularities.
+    """
+    total = 0.0
+    half_pi = 0.5 * math.pi
+    for k in range(-n, n + 1):
+        t = k * h
+        s = half_pi * math.sinh(t)
+        e = math.exp(-2.0 * abs(s))
+        w = half_pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2
+        near, far = e / (1.0 + e), 1.0 / (1.0 + e)
+        u, um1 = (far, near) if s >= 0.0 else (near, far)
+        # Beyond this point weights decay double-exponentially; stopping here
+        # keeps endpoint powers u**b, (1-u)**a finite for exponents > -1.
+        if w == 0.0 or near < 1e-280:
+            continue
+        total += w * f(u, um1)
+    return 0.5 * h * total
+
+
+def _unit_term(alpha, k, t0=1.5):
+    """The grid term (t - t0)^(k*alpha) as a polynomial."""
+    return FractionalPolynomial(alpha, t0, (0.0,) * k + (1.0,))
+
+
+class TestAgainstDefiningIntegrals:
+    """The power rules against quadrature of the singular-kernel integrals
+    that define the operators, evaluated one unit past the expansion point."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_caputo_derivative_equals_caputo_integral(self, alpha, k):
+        # D^a f(t0+1) = 1/Gamma(1-a) * int_0^1 (1-u)^(-a) f'(t0+u) du with
+        # f(t) = (t-t0)^b, b = k*a, so f'(t0+u) = b u^(b-1).
+        b = k * alpha
+        integral = _tanh_sinh_01(lambda u, um1: um1 ** (-alpha) * b * u ** (b - 1.0))
+        want = integral / math.gamma(1.0 - alpha)
+        p = _unit_term(alpha, k)
+        assert p.caputo_derivative().evaluate(p.t0 + 1.0) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    def test_rl_integral_equals_riemann_liouville_integral(self, alpha, k):
+        # I^a f(t0+1) = 1/Gamma(a) * int_0^1 (1-u)^(a-1) f(t0+u) du with
+        # f(t) = (t-t0)^(k*a).
+        b = k * alpha
+        integral = _tanh_sinh_01(lambda u, um1: um1 ** (alpha - 1.0) * u**b)
+        want = integral / math.gamma(alpha)
+        p = _unit_term(alpha, k)
+        assert p.rl_integral().evaluate(p.t0 + 1.0) == pytest.approx(want, rel=1e-9)
+
+
 class TestSequentialLimit:
     def test_zero_applications_read_constant(self):
         assert fp(0.5, 0.0, 4.0, 1.0).sequential_caputo_limit(0) == 4.0
