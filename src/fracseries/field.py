@@ -17,15 +17,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .fracpoly import FractionalPolynomial, add_scaled, multiply_truncated
+from .fracpoly import FractionalPolynomial, _from_floats, add_scaled, multiply_truncated
 
 
 @dataclass(frozen=True)
 class Monomial:
     """One term coeff * ((t-t0)^alpha)^time_power * prod_j y_j^state_powers[j].
 
-    Powers must be non-negative integers; integral values such as 2.0 are
-    stored as int, anything else raises ValueError.
+    The coefficient is stored as a float.  Powers must be non-negative
+    integers; integral values such as 2.0 are stored as int, anything else
+    raises ValueError.
     """
 
     coeff: float
@@ -33,6 +34,7 @@ class Monomial:
     time_power: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coeff", float(self.coeff))
         powers = tuple(_power(e, "state") for e in self.state_powers)
         object.__setattr__(self, "state_powers", powers)
         object.__setattr__(self, "time_power", _power(self.time_power, "time"))
@@ -248,10 +250,13 @@ def compose_series(
 ) -> list[FractionalPolynomial]:
     """Substitute series for the state variables, truncating at max_degree.
 
-    Each monomial is expanded with truncated Cauchy products; its time factor
-    ((t-t0)^alpha)^p shifts the product by p grid slots.  Component series
-    carry at most max_degree + 1 coefficients (fewer when every contribution
-    lives below max_degree).
+    Each monomial is expanded with truncated Cauchy products, one state
+    factor at a time in variable order; its time factor ((t-t0)^alpha)^p
+    shifts the product by p grid slots.  Within one call every partial
+    product is built once, keyed by its truncation budget and its chain of
+    variable factors, and shared by all monomials that reach it (SIR's S*I
+    serves two equations).  Component series carry at most max_degree + 1
+    coefficients (fewer when every contribution lives below max_degree).
 
     Raises:
         ValueError: on dimension mismatch.
@@ -265,21 +270,29 @@ def compose_series(
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     alpha = y_series[0].alpha
     t0 = y_series[0].t0
-    one = FractionalPolynomial(alpha, t0, (1.0,))
+    # products[k] is a truncated product; (budget, k, j) names products[k]
+    # times y_j truncated at budget, so a key stands for a budget and the
+    # whole chain of factors without hashing the chain itself.
+    products = [_from_floats(alpha, t0, (1.0,))]
+    index: dict[tuple[int, int, int], int] = {}
     out = []
     for terms in field.equations:
-        acc = FractionalPolynomial(alpha, t0, (0.0,))
+        acc = _from_floats(alpha, t0, (0.0,))
         for mono in terms:
             if mono.time_power > max_degree:
                 continue
             budget = max_degree - mono.time_power
-            prod = one
+            k = 0
             for j, e in enumerate(mono.state_powers):
                 for _ in range(e):
-                    prod = multiply_truncated(prod, y_series[j], budget)
+                    key = (budget, k, j)
+                    if key not in index:
+                        index[key] = len(products)
+                        products.append(multiply_truncated(products[k], y_series[j], budget))
+                    k = index[key]
             shifted = (0.0,) * mono.time_power + tuple(
-                mono.coeff * c for c in prod.coeffs
+                [mono.coeff * c for c in products[k].coeffs]
             )
-            acc = add_scaled(acc, FractionalPolynomial(alpha, t0, shifted), 1.0, 1.0)
+            acc = add_scaled(acc, _from_floats(alpha, t0, shifted), 1.0, 1.0)
         out.append(acc)
     return out

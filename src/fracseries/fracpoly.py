@@ -46,6 +46,12 @@ class FractionalPolynomial:
     Values are immutable; every operation returns a new instance.  Trailing
     zero coefficients are kept, so `degree` reflects the stored length, not
     the mathematical degree.
+
+    The public constructor validates alpha and the coefficient count, and
+    coerces the coefficients to a tuple of floats.  Results of the library's
+    own operations skip that step: they are built from float tuples the
+    library computed on an already validated grid, and hold the same values
+    a validated construction would.
     """
 
     alpha: float
@@ -97,13 +103,16 @@ class FractionalPolynomial:
             raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         if max_degree >= self.degree:
             return self
-        return FractionalPolynomial(self.alpha, self.t0, self.coeffs[: max_degree + 1])
+        return _from_floats(self.alpha, self.t0, self.coeffs[: max_degree + 1])
 
     @cached_property
     def _gamma_table(self) -> list[float]:
-        """Gamma(i*alpha + 1) for every stored grid index i, built on first use.
+        """Gamma(i*alpha + 1) for at least every stored grid index i.
 
-        Not a dataclass field, so equality, hashing and repr ignore it.
+        Built on first use with exactly one entry per stored index; a Caputo
+        derivative shares its parent's list, which is one entry or more
+        longer.  Not a dataclass field, so equality, hashing and repr ignore
+        it.
         """
         a = self.alpha
         return [gamma(i * a + 1.0) for i in range(len(self.coeffs))]
@@ -116,15 +125,15 @@ class FractionalPolynomial:
         The result of differentiating a constant is the zero constant.
 
         The Gamma values come from this polynomial's table, and the result
-        inherits the table's prefix it needs, so a chain of n derivatives
-        computes each Gamma value once instead of once per link.
+        shares that table (uncopied), so a chain of n derivatives computes
+        each Gamma value once instead of once per link.
         """
         if len(self.coeffs) == 1:
-            return FractionalPolynomial(self.alpha, self.t0, (0.0,))
+            return _from_floats(self.alpha, self.t0, (0.0,))
         c, g = self.coeffs, self._gamma_table
-        new = [ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)]
-        out = FractionalPolynomial(self.alpha, self.t0, new)
-        vars(out)["_gamma_table"] = g[:-1]
+        new = tuple([ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)])
+        out = _from_floats(self.alpha, self.t0, new)
+        vars(out)["_gamma_table"] = g
         return out
 
     def rl_integral(self) -> "FractionalPolynomial":
@@ -138,7 +147,7 @@ class FractionalPolynomial:
         a, c = self.alpha, self.coeffs
         g = [gamma(i * a + 1.0) for i in range(len(c) + 1)]
         new = (0.0,) + tuple(c[i] * g[i] / g[i + 1] for i in range(len(c)))
-        return FractionalPolynomial(a, self.t0, new)
+        return _from_floats(a, self.t0, new)
 
     def sequential_caputo_limit(self, k: int) -> float:
         """Limit at t0+ of the k-fold Caputo derivative D^alpha ... D^alpha.
@@ -159,19 +168,33 @@ class FractionalPolynomial:
         return p.coeffs[0]
 
 
+def _from_floats(alpha: float, t0: float, coeffs: tuple[float, ...]) -> FractionalPolynomial:
+    """A polynomial built without `__post_init__`, for library results only.
+
+    `coeffs` must be a non-empty tuple of floats and (alpha, t0) the grid of
+    a validated polynomial or problem, so the instance equals, hashes, prints
+    and pickles as `FractionalPolynomial(alpha, t0, coeffs)` would.
+    """
+    p = object.__new__(FractionalPolynomial)
+    vars(p).update(alpha=alpha, t0=t0, coeffs=coeffs)
+    return p
+
+
 def add_scaled(
     p: FractionalPolynomial, q: FractionalPolynomial, a: float, b: float
 ) -> FractionalPolynomial:
     """Linear combination a*p + b*q on a shared grid.
 
-    Result degree is max(p.degree, q.degree).
+    Result degree is max(p.degree, q.degree).  The scales are coerced to
+    float, as coefficients are.
 
     Raises:
         GridMismatchError: if alpha or t0 differ.
     """
     _check_same_grid(p, q)
-    new = [a * x + b * y for x, y in zip_longest(p.coeffs, q.coeffs, fillvalue=0.0)]
-    return FractionalPolynomial(p.alpha, p.t0, new)
+    a, b = float(a), float(b)
+    new = tuple([a * x + b * y for x, y in zip_longest(p.coeffs, q.coeffs, fillvalue=0.0)])
+    return _from_floats(p.alpha, p.t0, new)
 
 
 def multiply_truncated(
@@ -197,7 +220,7 @@ def multiply_truncated(
         if pi != 0.0:
             for k, qj in enumerate(qc[: top + 1 - i], i):
                 out[k] += pi * qj
-    return FractionalPolynomial(p.alpha, p.t0, tuple(out))
+    return _from_floats(p.alpha, p.t0, tuple(out))
 
 
 def caputo_power_rule(

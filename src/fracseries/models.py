@@ -68,13 +68,14 @@ def sir_field(p1: float, p2: float) -> PolynomialVectorField:
 
         S' = -p1*S*I,   I' = p1*S*I - p2*I,   R' = p2*I
 
-    with p1 the infection rate and p2 the recovery rate, both positive.
+    with p1 the infection rate and p2 the recovery rate, both positive and
+    finite.
 
     Raises:
-        ValueError: on non-positive rates.
+        ValueError: on non-positive or non-finite (NaN, inf) rates.
     """
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise ValueError(f"rates must be positive, got p1={p1}, p2={p2}")
+    if not (0.0 < p1 < math.inf and 0.0 < p2 < math.inf):
+        raise ValueError(f"rates must be positive and finite, got p1={p1}, p2={p2}")
     si = (1, 1, 0)
     i_only = (0, 1, 0)
     return PolynomialVectorField(

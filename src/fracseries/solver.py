@@ -24,8 +24,10 @@ They and `verify_defect_conditions` stay on the literal path
 with `solve`.  The oracle walks one derivative chain per defect component and
 reads every limit off it on the way, so it too costs O(n^2) arithmetic rather
 than O(n^3).  Each chain computes its Gamma values once (every derivative
-inherits its parent's table), so a degree-n check makes O(n) `gamma` calls
-per component.
+shares its parent's table), so a degree-n check makes O(n) `gamma` calls
+per component.  The composition builds each truncated product once per
+call, and every polynomial on these paths, like the series `solve` returns,
+is built from floats the library computed, without re-validation.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .field import PolynomialVectorField, compose_series
-from .fracpoly import FractionalPolynomial, add_scaled
+from .fracpoly import FractionalPolynomial, _from_floats, add_scaled
 from .special import gamma
 
 
@@ -110,7 +112,7 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
     a = problem.alpha
     g = [gamma(i * a + 1.0) for i in range(n + 1)]
     coeffs = problem.field.plan.recurrence(n, problem.y0, g)
-    series = tuple(FractionalPolynomial(a, problem.t0, tuple(c)) for c in coeffs)
+    series = tuple(_from_floats(a, problem.t0, tuple(c)) for c in coeffs)
     return SeriesSolution(series=series, problem=problem)
 
 

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import tokenize
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,10 @@ from fracseries import (
     Monomial,
     PolynomialVectorField,
     SeriesProblem,
+    add_scaled,
     compose_series,
     evaluate_field,
+    multiply_truncated,
     rk4_integrate,
     sir_field,
     solve,
@@ -61,6 +64,14 @@ class TestValidation:
         m = Monomial(1.0, (2.0, True, 0), time_power=3.0)
         assert m.state_powers == (2, 1, 0) and m.time_power == 3
         assert all(type(e) is int for e in (*m.state_powers, m.time_power))
+
+    def test_coefficient_stored_as_float(self):
+        # Series built from these coefficients skip the constructor's coercion.
+        for given, want in ((2, 2.0), (True, 1.0), (Fraction(1, 3), 1 / 3), (-0.0, -0.0)):
+            coeff = Monomial(given, (1,)).coeff
+            assert type(coeff) is float and coeff.hex() == want.hex()
+        with pytest.raises(TypeError):
+            Monomial(1j, (1,))
 
     def test_integral_float_powers_solve_like_ints(self):
         # A float time power used to reach solve, which indexes lists with it.
@@ -377,6 +388,89 @@ class TestComposeSeries:
                 ],
                 3,
             )
+
+
+def _compose_reference(field, y_series, max_degree):
+    """`compose_series` as first written: every monomial builds its own
+    truncated products, factor by factor, and shares none."""
+    alpha, t0 = y_series[0].alpha, y_series[0].t0
+    one = FractionalPolynomial(alpha, t0, (1.0,))
+    out = []
+    for terms in field.equations:
+        acc = FractionalPolynomial(alpha, t0, (0.0,))
+        for mono in terms:
+            if mono.time_power > max_degree:
+                continue
+            budget = max_degree - mono.time_power
+            prod = one
+            for j, e in enumerate(mono.state_powers):
+                for _ in range(e):
+                    prod = multiply_truncated(prod, y_series[j], budget)
+            shifted = (0.0,) * mono.time_power + tuple(mono.coeff * c for c in prod.coeffs)
+            acc = add_scaled(acc, FractionalPolynomial(alpha, t0, shifted), 1.0, 1.0)
+        out.append(acc)
+    return out
+
+
+def _chain_sharing_case(rng):
+    """A field whose monomials draw from a few state-power tuples (repeated
+    chains, and chains that extend one another such as x, x^2, x^2*z) at
+    time powers from 0 to past the truncation, with series that mix finite
+    values, signed zeros, infinities and NaN."""
+    dim = rng.randint(1, 4)
+    chains = []
+    for _ in range(rng.randint(1, 4)):
+        powers = [0] * dim
+        for _ in range(rng.randint(0, 3)):
+            powers[rng.randrange(dim)] += 1
+        chains.append(tuple(powers))
+    max_degree = rng.choice([0, 0, 1, 3, 7, 12])
+    equations = tuple(
+        tuple(
+            Monomial(rng.choice([1.0, -0.5, rng.uniform(-2.0, 2.0)]), rng.choice(chains),
+                     time_power=rng.choice([0, 0, 1, 2, max_degree, max_degree + 1, 20]))
+            for _ in range(rng.randint(0, 6))
+        )
+        for _ in range(dim)
+    )
+    field = PolynomialVectorField(equations=equations,
+                                  variable_names=tuple(f"y{j}" for j in range(dim)))
+    alpha, t0 = rng.choice([0.3, 0.5, 1.0]), rng.choice([0.0, -1.5])
+    pool = [0.0, -0.0, math.inf, -math.inf, math.nan] + [rng.uniform(-3.0, 3.0) for _ in range(10)]
+    series = [
+        FractionalPolynomial(alpha, t0, tuple(rng.choice(pool) for _ in range(rng.randint(1, 9))))
+        for _ in range(dim)
+    ]
+    return field, series, max_degree
+
+
+def _assert_composes_like_reference(field, series, max_degree):
+    got = compose_series(field, series, max_degree)
+    want = _compose_reference(field, series, max_degree)
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        _assert_same_bits(p.coeffs, q.coeffs)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_series_bit_identical_to_per_monomial_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        _assert_composes_like_reference(*_chain_sharing_case(rng))
+
+
+def test_compose_series_shares_a_chain_only_within_one_budget():
+    # x*z at time powers 0 and 1: the same chain truncated at 3 and at 2;
+    # x^2*z shares the prefix x with the first.
+    field = PolynomialVectorField(
+        equations=((Monomial(1.0, (1, 1)), Monomial(1.0, (1, 1), time_power=1)),
+                   (Monomial(1.0, (2, 1)),)),
+        variable_names=("x", "z"),
+    )
+    series = [FractionalPolynomial(0.5, 0.0, (1.0, 1.0, 1.0, 1.0))] * 2
+    got = _assert_composes_like_reference(field, series, 3)
+    assert got[0].coeffs == (1.0, 3.0, 5.0, 7.0)
 
 
 def _random_field(rng, dim):

@@ -2,16 +2,22 @@ import dataclasses
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from fracseries import (
     FractionalPolynomial,
     GridMismatchError,
+    Monomial,
+    PolynomialVectorField,
+    SeriesProblem,
     add_scaled,
     caputo_power_rule,
+    compose_series,
     gamma,
     multiply_truncated,
+    solve,
 )
 
 from sir_reference import I_COEFFS_DEG9, S_COEFFS_DEG9
@@ -336,6 +342,63 @@ class TestLoopsMatchReference:
         for zero in (0.0, -0.0):
             got = multiply_truncated(fp(1.0, 0.0, zero, 2.0), fp(1.0, 0.0, math.inf, 1.0), 2)
             assert _bits(got.coeffs) == _bits((0.0, math.inf, 2.0))
+
+
+def _assert_like_validated(r):
+    """`r` is the value the public constructor builds from r's fields."""
+    assert type(r.coeffs) is tuple
+    assert all(type(c) is float for c in r.coeffs)
+    fresh = FractionalPolynomial(r.alpha, r.t0, r.coeffs)
+    assert r == fresh
+    assert hash(r) == hash(fresh)
+    assert repr(r) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(r))
+    assert (copy.alpha, copy.t0, _bits(copy.coeffs)) == (r.alpha, r.t0, _bits(r.coeffs))
+    assert dataclasses.replace(r) == fresh
+
+
+# Coefficients that are not floats (2, 1/3) must still give float results.
+_MIXED_FIELD = PolynomialVectorField(
+    equations=(
+        (Monomial(-1.5, (1, 1)), Monomial(2, (0, 1), time_power=1)),
+        (Monomial(Fraction(1, 3), (2, 0)), Monomial(0.5, (0, 0), time_power=2)),
+    ),
+    variable_names=("x", "z"),
+)
+
+
+class TestLibraryResultsLikeValidated:
+    """Library results skip `__post_init__` but are indistinguishable from
+    polynomials the public constructor validated, -0.0, inf and NaN included."""
+
+    def test_unary_results(self):
+        for p in _random_polys(14):
+            d = p.caputo_derivative()
+            for r in (d, d.caputo_derivative(), p.rl_integral(), p.truncated(p.degree // 2)):
+                _assert_like_validated(r)
+
+    def test_binary_results(self):
+        for p in _random_polys(15):
+            q = FractionalPolynomial(p.alpha, p.t0, p.coeffs[::-1][:9])
+            for r in (add_scaled(p, q, 1.0, -0.0), add_scaled(q, p, 2, -1),
+                      multiply_truncated(p, q, p.degree), multiply_truncated(q, p, 3)):
+                _assert_like_validated(r)
+
+    def test_complex_scale_rejected_as_by_the_constructor(self):
+        p = fp(0.5, 0.0, 1.0, 2.0)
+        with pytest.raises(TypeError):
+            add_scaled(p, p, 1j, 1.0)
+
+    def test_compose_series_and_solve_results(self):
+        for p in _random_polys(16):
+            q = FractionalPolynomial(p.alpha, p.t0, p.coeffs[::-1][:9])
+            for max_degree in (0, 1, p.degree):
+                for r in compose_series(_MIXED_FIELD, [p, q], max_degree):
+                    _assert_like_validated(r)
+            problem = SeriesProblem(field=_MIXED_FIELD, y0=(p.coeffs[0], q.coeffs[0]),
+                                    alpha=p.alpha, t0=p.t0, degree=min(p.degree, 12))
+            for r in solve(problem).series:
+                _assert_like_validated(r)
 
 
 class TestRlIntegral:

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -38,10 +39,17 @@ class TestSirField:
         rhs = evaluate_field(sir_field(0.001, 0.072), 0.0, (0.0, 10.0, 0.0))
         assert rhs == pytest.approx((0.0, -0.72, 0.72), abs=1e-15)
 
-    @pytest.mark.parametrize("p1,p2", [(0.0, 0.1), (0.1, 0.0), (-1.0, 0.1)])
+    @pytest.mark.parametrize(
+        "p1,p2",
+        [(0.0, 0.1), (0.1, 0.0), (-1.0, 0.1)]
+        + [(bad, 0.1) for bad in (math.nan, math.inf, -math.inf)]
+        + [(0.1, bad) for bad in (math.nan, math.inf, -math.inf)],
+    )
     def test_nonpositive_rates_rejected(self, p1, p2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rates must be positive and finite, got "):
             sir_field(p1, p2)
+        with pytest.raises(ValueError):
+            sir_model(p1=p1, p2=p2)
 
     def test_conservation_structure(self):
         # Summing all three equations cancels term by term.

@@ -636,6 +636,32 @@ def test_oracle_gamma_calls_are_linear(sir_spec, monkeypatch):
     assert 0 < len(calls) <= 2 * dim * (n + 1)
 
 
+def test_oracle_builds_no_validated_polynomial_and_shares_work(sir_spec, monkeypatch):
+    # On SIR at degree 40: library results skip the constructor's checks, the
+    # composition builds 1*S, S*I and 1*I once each (S*I serves two
+    # equations), and a Caputo derivative shares its parent's Gamma table.
+    import fracseries.field
+
+    n = 40
+    problem = _sir_problem(sir_spec, 0.5, n)
+    solution = solve(problem)
+    post_inits, products = [], []
+    post_init = FractionalPolynomial.__post_init__
+    monkeypatch.setattr(FractionalPolynomial, "__post_init__",
+                        lambda self: post_inits.append(self) or post_init(self))
+    verify_defect_conditions(solution, problem)
+    assert post_inits == []
+
+    multiply = fracseries.field.multiply_truncated
+    monkeypatch.setattr(fracseries.field, "multiply_truncated",
+                        lambda *args: products.append(args) or multiply(*args))
+    compose_series(problem.field, solution.series, n - 1)
+    assert len(products) == 3
+
+    p = solution.series[0]
+    assert p.caputo_derivative()._gamma_table is p._gamma_table
+
+
 # Gamma(172) is the first integer Gamma value beyond the largest double, so
 # degree 170 is the deepest the Gamma tables reach at alpha 1.
 def test_oracle_at_degree_170_alpha_one(sir_spec):
