@@ -45,6 +45,11 @@ def _check_exponent(beta_exp: float, alpha: float) -> int:
     return m
 
 
+def _conformable_coefficient(beta_exp: float, m: int) -> float:
+    """Gamma(beta_exp + 1) / Gamma(beta_exp - m + 1), the conformable power rule's."""
+    return gamma(beta_exp + 1.0) / gamma(beta_exp - m + 1.0)
+
+
 def conformable_power_derivative(beta_exp: float, alpha: float, t_shift: float) -> float:
     """Conformable derivative of (t - t0)^beta_exp, evaluated at t - t0 = t_shift.
 
@@ -55,8 +60,7 @@ def conformable_power_derivative(beta_exp: float, alpha: float, t_shift: float) 
             negative result exponent.
     """
     m = _check_exponent(beta_exp, alpha)
-    coefficient = gamma(beta_exp + 1.0) / gamma(beta_exp - m + 1.0)
-    return coefficient * _power(t_shift, beta_exp - alpha)
+    return _conformable_coefficient(beta_exp, m) * _power(t_shift, beta_exp - alpha)
 
 
 def caputo_power_value(beta_exp: float, alpha: float, t_shift: float) -> float:
@@ -82,7 +86,7 @@ def discrepancy_report(beta_exp: float, alpha: float) -> DiscrepancyReport:
     """
     m = _check_exponent(beta_exp, alpha)
     caputo, _ = caputo_power_rule(beta_exp, alpha)
-    conformable = gamma(beta_exp + 1.0) / gamma(beta_exp - m + 1.0)
+    conformable = _conformable_coefficient(beta_exp, m)
     ratio = gamma(beta_exp - m + 1.0) / gamma(beta_exp - alpha + 1.0)
     return DiscrepancyReport(
         alpha=alpha,

@@ -86,26 +86,28 @@ class PolynomialVectorField:
         return FieldPlan(self)
 
 
+_GENERATED = ("recurrence", "evaluate", "rk4")
+
+
 class FieldPlan:
     """A vector field compiled for repeated evaluation.
 
     `nodes[k] = (parent, j)`: node k is node `parent` times y_j, node 0 is 1.
     A monomial's state factors (in variable order, repeats included) form a
-    chain of nodes; chains share prefixes such as SIR's S*I.  Per equation,
-    `terms` lists (coeff, time_power, chain's last node) and `points` lists
-    (coeff, time_power, ((j, e) for every e > 0)), one entry per monomial.
-    Three functions are generated from these on first use, each once per
-    field and none from another: `recurrence` (from `nodes` and `terms`) runs
-    `solve`'s coefficient recursion; `evaluate` and `rk4` (from `points`, by
-    one statement writer) evaluate the field at a point and run RK4's loop.
+    chain of nodes; chains share prefixes such as SIR's S*I.  The one table
+    `terms[i][m] = (coeff, time_power, node, factors)` holds monomial m of
+    equation i: its chain's last node and (j, e) for every state power e > 0.
+    Each name in `_GENERATED` is a function written by `{name}_source()` and
+    compiled by `_compile` on first use, once per field and none from
+    another.  Coefficient m of equation i is always the global `c{i}_{m}`, so
+    the source holds only names, indices, integer powers and fixed constants.
     """
 
     def __init__(self, field: PolynomialVectorField) -> None:
-        self.nodes, self.terms, self.points = [(-1, -1)], [], []
+        self.nodes, self.terms = [(-1, -1)], []
         index: dict[tuple[int, int], int] = {}  # (parent, j) -> node
         for equation in field.equations:
             self.terms.append([])
-            self.points.append([])
             for m in equation:
                 node = 0
                 for j, e in enumerate(m.state_powers):
@@ -115,26 +117,45 @@ class FieldPlan:
                             self.nodes.append((node, j))
                         node = index[node, j]
                 factors = tuple((j, e) for j, e in enumerate(m.state_powers) if e)
-                self.terms[-1].append((m.coeff, m.time_power, node))
-                self.points[-1].append((m.coeff, m.time_power, factors))
+                self.terms[-1].append((m.coeff, m.time_power, node, factors))
 
     @cached_property
     def recurrence(self) -> Callable[[int, Sequence[float], Sequence[float]], list[list[float]]]:
-        """`solve`'s coefficient lists for degree n, as `recurrence(n, y0, g)`.
+        """`solve`'s coefficient lists, from `recurrence_source`."""
+        return self._compile("recurrence")
+
+    @cached_property
+    def evaluate(self) -> Callable[[float, Sequence[float]], list[float]]:
+        """`evaluate_field` without its argument checks, from `evaluate_source`."""
+        return self._compile("evaluate")
+
+    @cached_property
+    def rk4(self) -> Callable[..., tuple[list[float], list[tuple[float, ...]]]]:
+        """`rk4_integrate`'s loop, from `rk4_source`."""
+        return self._compile("rk4")
+
+    def _compile(self, name: str) -> Callable:
+        """Function `name` from `{name}_source()`, with the coefficients as
+        its globals.  No source is kept, here or in `linecache`."""
+        coeffs = {f"c{i}_{m}": t[0] for i, ts in enumerate(self.terms) for m, t in enumerate(ts)}
+        source, scope = "\n".join(getattr(self, f"{name}_source")()), {}
+        exec(compile(source, f"<FieldPlan.{name}>", "exec"), coeffs, scope)
+        return scope[name]
+
+    def recurrence_source(self) -> list[str]:
+        """Lines of `recurrence(n, y0, g)`: `solve`'s coefficient lists for
+        degree n.
 
         With g[i] = Gamma(i*alpha + 1), step i appends g[i-1]/g[i] times slot
-        i-1 of f(t, P) to each list.  Generated and compiled on first use, as
-        one loop over i that serves every degree and alpha.  Node k keeps its
-        slots in `s{k}`, or is y_j's list if its parent is node 0, and sums
-        slot i-1 from 0.0 in `multiply_truncated`'s order, skipping zero parent
-        slots; each equation sums its `terms` from 0.0 in order, as
-        `compose_series` does.  The source holds only names, integers, 0.0 and
-        1.0; the coefficients are globals of the function.
+        i-1 of f(t, P) to each list, in one loop over i that serves every
+        degree and alpha.  Node k keeps its slots in `s{k}`, or is y_j's list
+        if its parent is node 0, and sums slot i-1 from 0.0 in
+        `multiply_truncated`'s order, skipping zero parent slots; each
+        equation sums its terms from 0.0 in order, as `compose_series` does.
         """
-        namespace: dict[str, object] = {}
-        lines = ["def recurrence(n, y0, g):"]
+        dim = range(len(self.terms))
         # Descending, so the argument y0 is read before the list y0 rebinds it.
-        lines += [f" y{j} = [y0[{j}]]" for j in reversed(range(len(self.terms)))]
+        lines = ["def recurrence(n, y0, g):", *[f" y{j} = [y0[{j}]]" for j in reversed(dim)]]
         # A child of node 0 (the constant 1) is y_j itself and keeps no list.
         name = [f"y{j}" if parent == 0 else f"s{k}" for k, (parent, j) in enumerate(self.nodes)]
         lines += [f" {s} = []" for s in name[1:] if s[0] == "s"]
@@ -145,74 +166,53 @@ class FieldPlan:
                           "   if left != 0.0:", "    acc += left * right", f"  s{k}.append(acc)"]
         for j, terms in enumerate(self.terms):
             lines.append("  acc = 0.0")
-            for coeff, p, node in terms:
-                c = f"c{len(namespace)}"
-                namespace[c] = coeff
+            for m, (_, p, node, _) in enumerate(terms):
                 guard = f"if i == {p + 1}: " if node == 0 else f"if i > {p}: " if p else ""
                 # Node 0 is the constant 1.  Slots are absolute: this phase may
                 # already have appended slot i to a list y_j.
                 slot = "1.0" if node == 0 else f"{name[node]}[i - {1 + p}]"
-                lines.append(f"  {guard}acc += {c} * {slot}")
+                lines.append(f"  {guard}acc += c{j}_{m} * {slot}")
             lines.append(f"  y{j}.append(ratio * acc)")
-        lines.append(f" return [{', '.join(f'y{j}' for j in range(len(self.terms)))}]")
-        exec(compile("\n".join(lines), "<field plan>", "exec"), namespace)
-        return namespace.pop("recurrence")
+        return lines + [f" return [{', '.join(f'y{j}' for j in dim)}]"]
 
-    @cached_property
-    def evaluate(self) -> Callable[[float, Sequence[float]], list[float]]:
-        """`evaluate_field` without its argument checks, as `evaluate(u, y)`.
+    def evaluate_source(self) -> list[str]:
+        """Lines of `evaluate(u, y)`: every equation at time value u and state
+        y, one `_point_lines` statement per monomial."""
+        out = ", ".join(f"e{i}" for i in range(len(self.terms)))
+        return ["def evaluate(u, y):", *self._point_lines(" ", "e{}", "y[{}]"), f" return [{out}]"]
 
-        Generated and compiled on first use from `_point_lines`: one
-        straight-line statement per monomial, summed from 0.0 in the order of
-        `points`; the coefficients are globals of the function.
+    def rk4_source(self) -> list[str]:
+        """Lines of `rk4(y, k1, t0, h, n_steps, record_every)`: RK4's loop,
+        returning the recorded times and states.  `k1` is f(t0, y), the first
+        step's first stage.  Each stage inlines `_point_lines` on one local per
+        state component, so its float operations are those of `evaluate`.
         """
-        namespace: dict[str, object] = {}
-        lines = ["def evaluate(u, y):", *self._point_lines(namespace, " ", "e{}", "y[{}]")]
-        lines.append(f" return [{', '.join(f'e{i}' for i in range(len(self.points)))}]")
-        exec(compile("\n".join(lines), "<field plan>", "exec"), namespace)
-        return namespace.pop("evaluate")
-
-    @cached_property
-    def rk4(self) -> Callable[..., tuple[list[float], list[tuple[float, ...]]]]:
-        """`rk4_integrate`'s loop, as `rk4(y, k1, t0, h, n_steps, record_every)`.
-
-        `k1` is f(t0, y), the first step's first stage.  Generated on first
-        use with one local per state component and stage value; each stage
-        inlines `_point_lines`, so the float operations are those of calling
-        `evaluate` per stage.  Returns the recorded times and states.
-        """
-        namespace: dict[str, object] = {}
-        dim, timed = range(len(self.points)), any(p for ts in self.points for _, p, _ in ts)
+        dim, timed = range(len(self.terms)), any(t[1] for ts in self.terms for t in ts)
         y, k1 = "".join(f"y{j}, " for j in dim), "".join(f"k1_{j}, " for j in dim)
         lines = ["def rk4(y, k1, t0, h, n_steps, record_every):", f" [{y}], [{k1}] = y, k1",
                  " hh, h6 = 0.5 * h, h / 6.0", f" times, states = [t0], [({y})]",
                  " for k in range(1, n_steps + 1):", *["  t = t0 + (k - 1) * h"] * timed]
-        first = ["   u = t - t0"] * timed + self._point_lines(namespace, "   ", "k1_{}", "y{}")
+        first = ["   u = t - t0"] * timed + self._point_lines("   ", "k1_{}", "y{}")
         lines += ["  if k > 1:", *first] if first else []
         for stage, step in ((2, "hh"), (3, "hh"), (4, "h")):
             lines += [f"  u = t + {step} - t0"] * (timed and stage != 3)
             lines += [f"  x{j} = y{j} + {step} * k{stage - 1}_{j}" for j in dim]
-            lines += self._point_lines(namespace, "  ", f"k{stage}_{{}}", "x{}")
+            lines += self._point_lines("  ", f"k{stage}_{{}}", "x{}")
         lines += [f"  y{j} = y{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
                   for j in dim]
-        lines += ["  if k % record_every == 0:", "   times.append(t0 + k * h)",
-                  f"   states.append(({y}))", " return times, states"]
-        exec(compile("\n".join(lines), "<field plan>", "exec"), namespace)
-        return namespace.pop("rk4")
+        return lines + ["  if k % record_every == 0:", "   times.append(t0 + k * h)",
+                        f"   states.append(({y}))", " return times, states"]
 
-    def _point_lines(self, namespace: dict, indent: str, out: str, state: str) -> list[str]:
+    def _point_lines(self, indent: str, out: str, state: str) -> list[str]:
         """Lines setting `out.format(i)` to equation i at time value u and
-        state `state.format(j)`: one `+= c * u ** p * y_j * y_k ** e ...` per
-        monomial, summed from 0.0 in `points` order.  The source holds only
-        names, indices and integer powers; coefficients are globals `c{i}_{m}`.
-        """
+        state `state.format(j)`: one `+= c{i}_{m} * u ** p * y_j * y_k ** e
+        ...` per monomial, summed from 0.0 in table order."""
         lines = []
-        for i, terms in enumerate(self.points):
+        for i, terms in enumerate(self.terms):
             lines.append(f"{indent}{out.format(i)} = 0.0")
-            for m, (coeff, time_power, factors) in enumerate(terms):
+            for m, (_, time_power, _, factors) in enumerate(terms):
                 f = [f"c{i}_{m}"] + ([f"u ** {time_power}"] if time_power else [])
                 f += [state.format(j) + (f" ** {e}" if e > 1 else "") for j, e in factors]
-                namespace[f[0]] = coeff
                 while len(f) > 64:  # bounds the depth the compiler recurses into
                     lines.append(f"{indent}v = {' * '.join(f[:64])}")
                     f = ["v"] + f[64:]
@@ -221,7 +221,7 @@ class FieldPlan:
 
     def __getstate__(self) -> dict:
         # Generated functions cannot be pickled; they are rebuilt on first use.
-        return {k: v for k, v in vars(self).items() if k not in ("evaluate", "recurrence", "rk4")}
+        return {k: v for k, v in vars(self).items() if k not in _GENERATED}
 
 
 def evaluate_field(

@@ -47,7 +47,7 @@ class FractionalPolynomial:
     zero coefficients are kept, so `degree` reflects the stored length, not
     the mathematical degree.
 
-    The public constructor validates alpha and the coefficient count, and
+    The public constructor validates alpha, t0 and the coefficient count, and
     coerces the coefficients to a tuple of floats.  Results of the library's
     own operations skip that step: they are built from float tuples the
     library computed on an already validated grid, and hold the same values
@@ -61,6 +61,8 @@ class FractionalPolynomial:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         coeffs = tuple(map(float, self.coeffs))
         if not coeffs:
             raise ValueError("a polynomial needs at least the constant coefficient")

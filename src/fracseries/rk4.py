@@ -3,8 +3,9 @@
 Only alpha = 1 semantics are supported: a monomial time power p contributes
 (t - t0)^p.  This is the reference the series solutions are compared against
 on integer-order problems.  The fixed-step loop is generated once per field
-(`FieldPlan.rk4`), with the field's monomials inlined in every stage; its
-trajectories are bit-identical to calling `evaluate_field` per stage.
+(`FieldPlan.rk4`, written by `FieldPlan.rk4_source()`), with the field's
+monomials inlined in every stage; its trajectories are bit-identical to
+calling `evaluate_field` per stage.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ conditions into an explicit linear step:
              * (slot i-1 coefficient of f(t, P) for equation j).
 
 `solve` runs this recursion in O(n^2) through a function generated once per
-field (`FieldPlan.recurrence`, on `PolynomialVectorField.plan`): one loop over
-i in which each chain of partial products appends grid slot i-1 to its own
-float list, then every equation sums its terms in the order `compose_series`
-sums them, so the coefficients are bit-identical to recomposing the whole
-field at every step.  `solve` stops there: the defect diagnostics
+field (`FieldPlan.recurrence` on `PolynomialVectorField.plan`, written by
+`FieldPlan.recurrence_source()`): one loop over i in which each chain of
+partial products appends grid slot i-1 to its own float list, then every
+equation sums its terms in the order `compose_series` sums them, so the
+coefficients are bit-identical to recomposing the whole field at every step.
+`solve` stops there: the defect diagnostics
 (`SeriesSolution.defect_coefficients`) are computed only when first read.
 They and `verify_defect_conditions` stay on the literal path
 (`compose_series`, then repeated Caputo derivatives), with no shortcut shared
@@ -32,6 +33,7 @@ is built from floats the library computed, without re-validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +60,8 @@ class SeriesProblem:
             )
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
 

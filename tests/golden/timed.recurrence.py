@@ -1,0 +1,26 @@
+def recurrence(n, y0, g):
+ y1 = [y0[1]]
+ y0 = [y0[0]]
+ s2 = []
+ s3 = []
+ for i in range(1, n + 1):
+  ratio = g[i - 1] / g[i]
+  acc = 0.0
+  for left, right in zip(y0, reversed(y0)):
+   if left != 0.0:
+    acc += left * right
+  s2.append(acc)
+  acc = 0.0
+  for left, right in zip(s2, reversed(y1)):
+   if left != 0.0:
+    acc += left * right
+  s3.append(acc)
+  acc = 0.0
+  if i > 1: acc += c0_0 * s3[i - 2]
+  if i == 3: acc += c0_1 * 1.0
+  y0.append(ratio * acc)
+  acc = 0.0
+  acc += c1_0 * y0[i - 1]
+  if i == 1: acc += c1_1 * 1.0
+  y1.append(ratio * acc)
+ return [y0, y1]

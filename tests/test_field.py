@@ -1,9 +1,10 @@
-import builtins
 import io
+import linecache
 import math
 import pickle
 import random
 import tokenize
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from fracseries import (
     sir_field,
     solve,
 )
+from fracseries.field import _GENERATED, FieldPlan
 
 from sir_reference import COEFFS_DEG9
 
@@ -181,12 +183,22 @@ def _assert_same_bits(got, want):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+@pytest.fixture
+def compiled(monkeypatch):
+    """The names `FieldPlan._compile` builds while a test runs, in order."""
+    names = []
+    build = FieldPlan._compile
+    monkeypatch.setattr(FieldPlan, "_compile",
+                        lambda plan, name: names.append(name) or build(plan, name))
+    return names
+
+
 class TestPlan:
     def test_sir_shares_the_s_times_i_chain(self):
         plan = sir_field(0.001, 0.072).plan
         # constant 1, S, S*I, I: S*I appears in two equations but is built once
         assert plan.nodes == [(-1, -1), (0, 0), (1, 1), (0, 1)]
-        assert [[node for _, _, node in terms] for terms in plan.terms] == [[2], [2, 3], [3]]
+        assert [[node for _, _, node, _ in terms] for terms in plan.terms] == [[2], [2, 3], [3]]
 
     def test_repeated_factors_extend_one_chain(self):
         field = PolynomialVectorField(
@@ -197,8 +209,8 @@ class TestPlan:
         plan = field.plan
         # x, x^2, x^3, x^2*z: prefixes x and x^2 are shared
         assert plan.nodes == [(-1, -1), (0, 0), (1, 0), (2, 0), (2, 1)]
-        assert plan.terms == [[(1.0, 0, 3), (2.0, 0, 4), (3.0, 0, 0)], [(1.0, 2, 1)]]
-        assert plan.points[0][1] == (2.0, 0, ((0, 2), (1, 1)))
+        assert plan.terms == [[(1.0, 0, 3, ((0, 3),)), (2.0, 0, 4, ((0, 2), (1, 1))),
+                               (3.0, 0, 0, ())], [(1.0, 2, 1, ((0, 1),))]]
 
     def test_built_once_per_field(self):
         field = sir_field(0.001, 0.072)
@@ -249,77 +261,63 @@ class TestPlan:
         rk4_integrate(field, (620.0, 10.0, 70.0), 0.0, 1.0, 0.1)
         assert "recurrence" not in field.plan.__dict__
 
-    def test_rk4_built_once_per_plan(self, monkeypatch):
+    def test_rk4_built_once_per_plan(self, compiled):
         field = sir_field(0.001, 0.072)
-        sources = []
-        real_compile = builtins.compile
-        monkeypatch.setattr(builtins, "compile",
-                            lambda *a, **k: sources.append(a[0]) or real_compile(*a, **k))
         for t0, t_end, h, record_every in ((0.0, 1.0, 0.1, 1), (-2.0, 3.0, 0.05, 4),
                                            (1.5, 2.0, 0.125, 2)):
             rk4_integrate(field, (620.0, 10.0, 70.0), t0, t_end, h, record_every)
         # The first call's k1 comes from `evaluate_field`, which builds `evaluate`.
-        assert sorted(src.split("(")[0] for src in sources) == ["def evaluate", "def rk4"]
+        assert sorted(compiled) == ["evaluate", "rk4"]
         assert field.plan.rk4 is field.plan.rk4
 
-    def test_rk4_source_holds_no_user_value(self, monkeypatch):
-        field = PolynomialVectorField(
-            equations=((Monomial(2.5, (1, 2), 3), Monomial(math.nan, (0, 0), 1)),
-                       (Monomial(-math.inf, (0, 1)),)),
-            variable_names=("__import__('os')", "1e300"),
-        )
-        sources = []
-        real_compile = builtins.compile
-        monkeypatch.setattr(builtins, "compile",
-                            lambda *a, **k: sources.append(a[0]) or real_compile(*a, **k))
-        assert callable(field.plan.rk4)
-        (source,) = sources
-        numbers = {t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
-                   if t.type == tokenize.NUMBER}
-        # 0.0 starts every sum; 0.5, 2.0 and 6.0 are RK4's own weights.
-        assert all(v.isdigit() or v in ("0.0", "0.5", "2.0", "6.0") for v in numbers)
-        assert not any(text in source for text in ("2.5", "nan", "inf", "os", "1e300"))
-
-    def test_evaluator_built_once_per_plan(self, monkeypatch):
+    def test_evaluator_built_once_per_plan(self, compiled):
         field = sir_field(0.001, 0.072)
-        compiles = []
-        real_compile = builtins.compile
-        monkeypatch.setattr(builtins, "compile",
-                            lambda *a, **k: compiles.append(a) or real_compile(*a, **k))
         for u in (0.0, 0.5, 1.0):
             evaluate_field(field, u, (620.0, 10.0, 70.0))
-        assert len(compiles) == 1
+        assert compiled == ["evaluate"]
         assert field.plan.evaluate is field.plan.evaluate
 
-    def test_recurrence_built_once_per_plan(self, monkeypatch):
+    def test_recurrence_built_once_per_plan(self, compiled):
         field = sir_field(0.001, 0.072)
-        compiles = []
-        real_compile = builtins.compile
-        monkeypatch.setattr(builtins, "compile",
-                            lambda *a, **k: compiles.append(a) or real_compile(*a, **k))
         for degree in (0, 9, 40):
             for alpha in (0.5, 1.0):
                 solve(SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=alpha,
                                     t0=0.0, degree=degree))
-        assert len(compiles) == 1
+        assert compiled == ["recurrence"]
         assert field.plan.recurrence is field.plan.recurrence
 
-    def test_recurrence_source_holds_no_user_value(self, monkeypatch):
+    @pytest.mark.parametrize("name", _GENERATED)
+    def test_source_holds_no_user_value(self, name):
         field = PolynomialVectorField(
             equations=((Monomial(2.5, (1, 2), 3), Monomial(math.nan, (0, 0), 1)),
                        (Monomial(-math.inf, (0, 1)),)),
             variable_names=("__import__('os')", "1e300"),
         )
-        sources = []
-        real_compile = builtins.compile
-        monkeypatch.setattr(builtins, "compile",
-                            lambda *a, **k: sources.append(a[0]) or real_compile(*a, **k))
-        solve(SeriesProblem(field=field, y0=(0.5, 1.5), alpha=0.5, t0=0.0, degree=3))
-        (source,) = sources
+        source = "\n".join(getattr(field.plan, f"{name}_source")())
         numbers = {t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
                    if t.type == tokenize.NUMBER}
-        assert all(v.isdigit() or v in ("0.0", "1.0") for v in numbers)
+        # 0.0 starts every sum; 1.0 is the recurrence's constant node, and
+        # 0.5, 2.0 and 6.0 are RK4's own weights.
+        constants = {"recurrence": {"1.0"}, "evaluate": set(), "rk4": {"0.5", "2.0", "6.0"}}
+        assert all(v.isdigit() or v in {"0.0", *constants[name]} for v in numbers)
         assert not any(text in source for text in ("2.5", "nan", "inf", "os", "1e300"))
+        assert callable(getattr(field.plan, name))
+
+    def test_generated_frames_name_their_generator(self):
+        plan = sir_field(0.001, 0.072).plan
+        with pytest.raises(IndexError) as info:
+            plan.evaluate(0.0, [1.0])
+        frame = traceback.extract_tb(info.tb)[-1]
+        assert (frame.filename, frame.name) == ("<FieldPlan.evaluate>", "evaluate")
+
+    def test_no_generated_source_is_kept(self):
+        plan = sir_field(0.001, 0.072).plan
+        assert all(callable(getattr(plan, name)) for name in _GENERATED)
+        with pytest.raises(IndexError) as info:
+            plan.evaluate(0.0, [1.0])
+        traceback.format_exception(info.type, info.value, info.tb)  # reads linecache
+        assert not [key for key in linecache.cache if "FieldPlan" in key]
+        assert set(vars(plan)) == {"nodes", "terms", *_GENERATED}
 
 
 class TestComposeSeries:

@@ -42,6 +42,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             fp(alpha, 0.0, 1.0)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t0_rejected(self, t0):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            fp(0.5, t0, 1.0)
+
     def test_empty_coefficients_rejected(self):
         with pytest.raises(ValueError):
             FractionalPolynomial(0.5, 0.0, ())

@@ -1,0 +1,37 @@
+"""The source each `FieldPlan` writer emits, compared verbatim with the files
+under tests/golden/, so a change to a generator shows in review as a diff of
+the code that runs."""
+
+from pathlib import Path
+
+import pytest
+
+from fracseries import Monomial, PolynomialVectorField, sir_field
+from fracseries.field import _GENERATED
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FIELDS = {
+    "sir": sir_field(0.001, 0.072),
+    # Time powers, a repeated factor (x^2 * z) and constant monomials.
+    "timed": PolynomialVectorField(
+        equations=((Monomial(1.5, (2, 1), 1), Monomial(-0.5, (0, 0), 2)),
+                   (Monomial(2.0, (1, 0)), Monomial(0.25, (0, 0)))),
+        variable_names=("x", "z"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _GENERATED)
+@pytest.mark.parametrize("key", sorted(FIELDS))
+def test_source_matches_golden_file(key, name):
+    path = GOLDEN / f"{key}.{name}.py"
+    field = FIELDS[key]
+    source = "\n".join(getattr(field.plan, f"{name}_source")()) + "\n"
+    # A field's repr rebuilds it, so the command needs no file of this suite.
+    command = (f"PYTHONPATH=src python -c \"from fracseries import *; "
+               f"print(*{field!r}.plan.{name}_source(), sep='\\n')\" > tests/golden/{path.name}")
+    assert path.is_file() and path.read_text() == source, (
+        f"{path} is not what {name}_source() emits; if the change is meant, "
+        f"regenerate it from the repository root with\n{command}"
+    )

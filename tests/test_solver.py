@@ -157,6 +157,12 @@ class TestSolve:
                 field=sir_spec.field(), y0=INITIAL, alpha=1.5, t0=0.0, degree=3
             )
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t0_rejected(self, sir_spec, t0):
+        # A NaN t0 used to solve, then fail the grid check against itself.
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            SeriesProblem(field=sir_spec.field(), y0=INITIAL, alpha=0.5, t0=t0, degree=3)
+
 
 class TestVerifyDefectConditions:
     def test_zero_field_constant_problem(self):
@@ -346,7 +352,7 @@ def _interpreted_recurrence(plan, n, y0, g):
             out.append(acc)
         for c, terms in zip(coeffs, plan.terms):
             acc = 0.0
-            for coeff, time_power, node in terms:
+            for coeff, time_power, node, _ in terms:
                 k = i - 1 - time_power
                 if 0 <= k < len(slots[node]):
                     acc += coeff * slots[node][k]
