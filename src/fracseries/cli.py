@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .conformable import discrepancy_report
+from .field import PolynomialVectorField
 from .metrics import comparison_table, default_sample_times
 from .models import ModelConfigError, ModelSpec, parse_model_config, sir_model
 from .rk4 import Trajectory, rk4_integrate
@@ -39,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_finite(args)
+        _check_flags(args)
         return args.func(args)
     except (UsageError, ModelConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -59,13 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a model and write coefficients/samples")
     _add_model_flags(p_solve)
+    _add_sample_flags(p_solve)
     p_solve.add_argument("--alpha", type=float, default=None,
                          help="series order in (0, 1] (default: the model's)")
-    p_solve.add_argument("--degree", type=int, default=9, help="series degree")
-    p_solve.add_argument("--t-end", type=float, default=1.0, help="end of the sample window")
-    p_solve.add_argument("--samples", type=int, default=10,
-                         help="number of sample intervals (samples+1 rows)")
-    p_solve.add_argument("--out-dir", default=".", help="output directory")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_compare = sub.add_parser(
@@ -74,23 +71,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_compare)
     p_compare.add_argument("--alpha", type=float, default=1.0,
                            help="must be 1 (reference is integer-order)")
-    p_compare.add_argument("--degree", type=int, default=9, help="series degree")
     p_compare.add_argument("--rk-step", type=float, default=1e-4,
                            help="Runge-Kutta step size")
     p_compare.add_argument("--reference", choices=("rk4", "acps"), default="rk4",
                            help="reference column source (acps = self-comparison)")
-    p_compare.add_argument("--out-dir", default=".", help="output directory")
     p_compare.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="solve for several orders, one curve file each")
     _add_model_flags(p_sweep)
+    _add_sample_flags(p_sweep)
     p_sweep.add_argument("--alpha", type=float, action="append", required=True,
                          help="series order; repeat the flag for a sweep")
-    p_sweep.add_argument("--degree", type=int, default=9, help="series degree")
-    p_sweep.add_argument("--t-end", type=float, default=1.0, help="end of the sample window")
-    p_sweep.add_argument("--samples", type=int, default=10,
-                         help="number of sample intervals (samples+1 rows)")
-    p_sweep.add_argument("--out-dir", default=".", help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_conf = sub.add_parser(
@@ -104,16 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite(args: argparse.Namespace) -> None:
-    """Reject nan and infinite values (including overflowing literals such as
-    1e999) in every float flag, before any command runs or writes."""
-    for name, value in vars(args).items():
-        for v in value if isinstance(value, list) else [value]:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise UsageError(f"--{name.replace('_', '-')} must be finite, got {v}")
-
-
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """The model, series degree and output flags of solve, compare and sweep."""
     parser.add_argument("--model", default="sir",
                         help="builtin name 'sir' or path to a model config JSON")
     parser.add_argument("--p1", type=float, default=None,
@@ -122,44 +105,69 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="recovery rate (builtin sir only)")
     parser.add_argument("--initial", default=None,
                         help="comma-separated initial values (builtin sir only)")
+    parser.add_argument("--degree", type=int, default=9, help="series degree")
+    parser.add_argument("--out-dir", default=".", help="output directory")
+
+
+def _add_sample_flags(parser: argparse.ArgumentParser) -> None:
+    """The sample window flags of solve and sweep."""
+    parser.add_argument("--t-end", type=float, default=1.0, help="end of the sample window")
+    parser.add_argument("--samples", type=int, default=10,
+                        help="number of sample intervals (samples+1 rows)")
+
+
+# Inclusive ranges of the numeric flags.  The caps bound the work of one run:
+# at most 10^4 + 1 series terms, 10^5 + 1 sample rows and 10^7 RK4 steps.
+_RANGES = {"degree": (0, 10_000), "samples": (1, 100_000), "rk_step": (1e-7, 0.1)}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject nan and infinite values (including overflowing literals such as
+    1e999) in every float flag, and values outside `_RANGES`, before any
+    command runs or writes."""
+    for name, value in vars(args).items():
+        flag = "--" + name.replace("_", "-")
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise UsageError(f"{flag} must be finite, got {v}")
+        if name in _RANGES and not _RANGES[name][0] <= value <= _RANGES[name][1]:
+            raise UsageError(f"{flag} must be in {list(_RANGES[name])}, got {value}")
 
 
 def _load_model(args: argparse.Namespace) -> ModelSpec:
-    if args.model == "sir":
-        initial = (620.0, 10.0, 70.0)
-        if args.initial is not None:
-            parts = [p.strip() for p in args.initial.split(",")]
-            if len(parts) != 3:
-                raise UsageError("--initial for the sir model needs 3 values")
-            try:
-                initial = tuple(float(p) for p in parts)
-            except ValueError as exc:
-                raise UsageError(f"bad --initial value: {exc}") from exc
-            if not all(math.isfinite(v) for v in initial):
-                raise UsageError(f"--initial values must be finite, got {args.initial}")
-        return sir_model(
-            p1=args.p1 if args.p1 is not None else 0.001,
-            p2=args.p2 if args.p2 is not None else 0.072,
-            initial=initial,
-        )
-    if args.p1 is not None or args.p2 is not None or args.initial is not None:
-        raise UsageError("--p1/--p2/--initial apply only to the builtin sir model")
-    path = Path(args.model)
-    if not path.exists():
-        raise UsageError(f"model file not found: {path}")
-    return parse_model_config(path.read_text(encoding="utf-8"))
+    given = {k: v for k in ("p1", "p2", "initial") if (v := getattr(args, k)) is not None}
+    if args.model != "sir":
+        if given:
+            raise UsageError("--p1/--p2/--initial apply only to the builtin sir model")
+        path = Path(args.model)
+        if not path.exists():
+            raise UsageError(f"model file not found: {path}")
+        return parse_model_config(path.read_text(encoding="utf-8"))
+    if args.initial is not None:
+        parts = [p.strip() for p in args.initial.split(",")]
+        if len(parts) != 3:
+            raise UsageError("--initial for the sir model needs 3 values")
+        try:
+            given["initial"] = tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise UsageError(f"bad --initial value: {exc}") from exc
+        if not all(math.isfinite(v) for v in given["initial"]):
+            raise UsageError(f"--initial values must be finite, got {args.initial}")
+    # Only the values given are passed, so the defaults live in sir_model alone.
+    return sir_model(**given)
+
+
+def _solve(spec: ModelSpec, field: PolynomialVectorField, alpha: float,
+           degree: int) -> SeriesSolution:
+    return solve(SeriesProblem(field=field, y0=spec.initial, alpha=alpha,
+                               t0=spec.t0, degree=degree))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _load_model(args)
     times = _sample_grid(spec.t0, args.t_end, args.samples)
     alpha = args.alpha if args.alpha is not None else spec.alpha
-    solution = solve(
-        SeriesProblem(
-            field=spec.field(), y0=spec.initial, alpha=alpha,
-            t0=spec.t0, degree=args.degree,
-        )
-    )
+    solution = _solve(spec, spec.field(), alpha, args.degree)
     tables = [("coefficients.csv", *_coefficients(spec, solution)),
               ("samples.csv", *_samples(spec, solution, times))]
     _write_csvs(_ensure_dir(args.out_dir), tables)
@@ -171,15 +179,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     times = _sample_grid(spec.t0, args.t_end, args.samples)
     field = spec.field()
     # Solve every order first, so that a failing one leaves no partial output.
-    solutions = [
-        solve(
-            SeriesProblem(
-                field=field, y0=spec.initial, alpha=alpha,
-                t0=spec.t0, degree=args.degree,
-            )
-        )
-        for alpha in args.alpha
-    ]
+    solutions = [_solve(spec, field, alpha, args.degree) for alpha in args.alpha]
     tables = [
         (f"samples_alpha_{alpha!r}.csv", *_samples(spec, solution, times))
         for alpha, solution in zip(args.alpha, solutions)
@@ -202,16 +202,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             )
         file_names[file_name] = name
     field = spec.field()
-    solution = solve(
-        SeriesProblem(
-            field=field, y0=spec.initial, alpha=1.0, t0=spec.t0, degree=args.degree
-        )
-    )
+    solution = _solve(spec, field, 1.0, args.degree)
     sample_times = default_sample_times(spec.t0)
     if args.reference == "rk4":
         h = args.rk_step
-        record_every = round(0.1 / h) if h > 0 else 0
-        if record_every <= 0 or abs(record_every * h - 0.1) > 1e-12:
+        record_every = round(0.1 / h)
+        if abs(record_every * h - 0.1) > 1e-12:
             raise ValueError(f"--rk-step {h} does not divide the 0.1 sample spacing")
         trajectory = rk4_integrate(
             field, spec.initial, spec.t0, spec.t0 + 1.0, h, record_every
@@ -254,8 +250,6 @@ def _series_trajectory(solution: SeriesSolution, times: list[float]) -> Trajecto
 
 
 def _sample_grid(t0: float, t_end: float, samples: int) -> list[float]:
-    if samples <= 0:
-        raise UsageError(f"--samples must be positive, got {samples}")
     if t_end <= t0:
         raise UsageError(f"--t-end {t_end} must exceed the model t0 {t0}")
     span = t_end - t0

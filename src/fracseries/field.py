@@ -205,14 +205,16 @@ class FieldPlan:
 
     def _point_lines(self, indent: str, out: str, state: str) -> list[str]:
         """Lines setting `out.format(i)` to equation i at time value u and
-        state `state.format(j)`: one `+= c{i}_{m} * u ** p * y_j * y_k ** e
-        ...` per monomial, summed from 0.0 in table order."""
+        state `state.format(j)`: one `+= c{i}_{m} * u ** p * y_j ** e ...` per
+        monomial, summed from 0.0 in table order, with a power of 1 written as
+        its bare base."""
         lines = []
         for i, terms in enumerate(self.terms):
             lines.append(f"{indent}{out.format(i)} = 0.0")
             for m, (_, time_power, _, factors) in enumerate(terms):
-                f = [f"c{i}_{m}"] + ([f"u ** {time_power}"] if time_power else [])
-                f += [state.format(j) + (f" ** {e}" if e > 1 else "") for j, e in factors]
+                powers = [("u", time_power)] if time_power else []
+                powers += [(state.format(j), e) for j, e in factors]
+                f = [f"c{i}_{m}"] + [b + (f" ** {e}" if e > 1 else "") for b, e in powers]
                 while len(f) > 64:  # bounds the depth the compiler recurses into
                     lines.append(f"{indent}v = {' * '.join(f[:64])}")
                     f = ["v"] + f[64:]

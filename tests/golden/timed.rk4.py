@@ -7,7 +7,7 @@ def rk4(y, k1, t0, h, n_steps, record_every):
   if k > 1:
    u = t - t0
    k1_0 = 0.0
-   k1_0 += c0_0 * u ** 1 * y0 ** 2 * y1
+   k1_0 += c0_0 * u * y0 ** 2 * y1
    k1_0 += c0_1 * u ** 2
    k1_1 = 0.0
    k1_1 += c1_0 * y0
@@ -16,7 +16,7 @@ def rk4(y, k1, t0, h, n_steps, record_every):
   x0 = y0 + hh * k1_0
   x1 = y1 + hh * k1_1
   k2_0 = 0.0
-  k2_0 += c0_0 * u ** 1 * x0 ** 2 * x1
+  k2_0 += c0_0 * u * x0 ** 2 * x1
   k2_0 += c0_1 * u ** 2
   k2_1 = 0.0
   k2_1 += c1_0 * x0
@@ -24,7 +24,7 @@ def rk4(y, k1, t0, h, n_steps, record_every):
   x0 = y0 + hh * k2_0
   x1 = y1 + hh * k2_1
   k3_0 = 0.0
-  k3_0 += c0_0 * u ** 1 * x0 ** 2 * x1
+  k3_0 += c0_0 * u * x0 ** 2 * x1
   k3_0 += c0_1 * u ** 2
   k3_1 = 0.0
   k3_1 += c1_0 * x0
@@ -33,7 +33,7 @@ def rk4(y, k1, t0, h, n_steps, record_every):
   x0 = y0 + h * k3_0
   x1 = y1 + h * k3_1
   k4_0 = 0.0
-  k4_0 += c0_0 * u ** 1 * x0 ** 2 * x1
+  k4_0 += c0_0 * u * x0 ** 2 * x1
   k4_0 += c0_1 * u ** 2
   k4_1 = 0.0
   k4_1 += c1_0 * x0

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fracseries import cli
+from fracseries import SeriesProblem, cli, sir_model, solve
 from sir_reference import ABS_ERROR_AT_1, COEFFS_DEG9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +88,21 @@ class TestSolve:
         rows = read_rows(tmp_path / "coefficients.csv")
         s1 = next(r for r in rows if r["variable"] == "S" and r["index"] == "1")
         assert float(s1["coefficient"]) == pytest.approx(-0.002 * 100 * 5, rel=1e-12)
+
+    @pytest.mark.parametrize("flags, given", [
+        (["--p1", "0.002"], {"p1": 0.002}),
+        (["--p2", "0.1"], {"p2": 0.1}),
+        (["--initial", "600,20,80"], {"initial": (600.0, 20.0, 80.0)}),
+    ])
+    def test_one_override_keeps_the_other_defaults(self, tmp_path: Path, flags, given):
+        assert cli.main(["solve", *flags, "--out-dir", str(tmp_path)]) == 0
+        spec = sir_model(**given)
+        expected = solve(SeriesProblem(field=spec.field(), y0=spec.initial,
+                                       alpha=spec.alpha, t0=spec.t0, degree=9))
+        rows = read_rows(tmp_path / "coefficients.csv")
+        assert [float(r["coefficient"]) for r in rows] == [
+            c for s in expected.series for c in s.coeffs
+        ]
 
     def test_overrides_rejected_for_model_files(self, tmp_path: Path):
         cp = run_cli(
@@ -191,6 +207,65 @@ class TestInvalidInputWritesNothing:
         cp = run_cli("solve", "--model", str(bad), "--out-dir", str(out))
         self.assert_usage_error(cp, out)
         assert "finite" in cp.stderr
+
+
+class _Reached(Exception):
+    """Raised by the stand-ins for `solve` and `rk4_integrate`, so that a
+    value the flag checks let through starts no large run."""
+
+
+def _stand_in(monkeypatch, name: str) -> None:
+    def reached(*args):
+        raise _Reached(name)
+
+    monkeypatch.setattr(cli, name, reached)
+
+
+# flag, command, rejected below, lowest and highest accepted, rejected above,
+# and the call an accepted value reaches first.
+BOUNDS = [
+    pytest.param(flag, command, *values, id=f"{command}{flag}")
+    for flag, commands, *values in [
+        ("--degree", ("solve", "compare", "sweep"), "-1", "0", "10000", "10001", "solve"),
+        ("--samples", ("solve", "sweep"), "0", "1", "100000", "100001", "solve"),
+        ("--rk-step", ("compare",), repr(math.nextafter(1e-7, 0.0)), "1e-07", "0.1",
+         repr(math.nextafter(0.1, 1.0)), "rk4_integrate"),
+    ]
+    for command in commands
+]
+
+
+def _bound_args(command: str, flag: str, value: str, out: Path) -> list[str]:
+    alpha = ["--alpha", "0.5"] if command == "sweep" else []
+    return [command, *alpha, flag, value, "--out-dir", str(out)]
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize("flag, command, below, low, high, above, call", BOUNDS)
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_out_of_range_value_is_usage_error(self, tmp_path: Path, monkeypatch, capsys,
+                                               flag, command, below, low, high, above,
+                                               call, side):
+        _stand_in(monkeypatch, "solve")
+        _stand_in(monkeypatch, "rk4_integrate")
+        out = tmp_path / "o"
+        out.mkdir()
+        value = below if side == "below" else above
+        assert cli.main(_bound_args(command, flag, value, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, command, below, low, high, above, call", BOUNDS)
+    @pytest.mark.parametrize("side", ["low", "high"])
+    def test_value_at_the_edge_is_accepted(self, tmp_path: Path, monkeypatch,
+                                           flag, command, below, low, high, above,
+                                           call, side):
+        _stand_in(monkeypatch, call)
+        value = low if side == "low" else high
+        with pytest.raises(_Reached, match=call):
+            cli.main(_bound_args(command, flag, value, tmp_path / "o"))
 
 
 class TestCompare:
@@ -409,3 +484,35 @@ class TestAtomicWrites:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(calls) == 2
         assert list(out.iterdir()) == []
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+# One pinned run per directory of GOLDEN_CLI; every byte of its files is checked.
+GOLDEN_RUNS = {
+    "solve_p2": ["solve", "--p2", "0.1"],
+    "solve_model": ["solve", "--model", "sir.json", "--t-end", "2", "--samples", "7"],
+    "compare_rk4": ["compare"],
+    "compare_acps": ["compare", "--reference", "acps"],
+    "sweep": ["sweep", "--alpha", "0.5", "--alpha", "0.75"],
+    "conformable": ["conformable", "--beta", "1.5", "--alpha", "0.5"],
+}
+
+
+def _out_args(command: str, out: str) -> list[str]:
+    return ["--out", f"{out}/conformable.csv"] if command == "conformable" else ["--out-dir", out]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_output_matches_golden_files(tmp_path: Path, monkeypatch, case):
+    args, golden = GOLDEN_RUNS[case], GOLDEN_CLI / case
+    monkeypatch.chdir(REPO_ROOT)  # "--model sir.json" is the shipped file
+    assert cli.main([*args, *_out_args(args[0], str(tmp_path))]) == 0
+    command = " ".join(["PYTHONPATH=src python -m fracseries", *args,
+                        *_out_args(args[0], f"tests/golden/cli/{case}")])
+    hint = f"if the change is meant, regenerate them from the repository root with\n{command}"
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names, hint
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), (
+            f"{golden / name} is not what `{' '.join(args)}` writes; {hint}"
+        )
