@@ -254,11 +254,12 @@ def compose_series(
 
     Each monomial is expanded with truncated Cauchy products, one state
     factor at a time in variable order; its time factor ((t-t0)^alpha)^p
-    shifts the product by p grid slots.  Within one call every partial
-    product is built once, keyed by its truncation budget and its chain of
-    variable factors, and shared by all monomials that reach it (SIR's S*I
-    serves two equations).  Component series carry at most max_degree + 1
-    coefficients (fewer when every contribution lives below max_degree).
+    shifts the product by p grid slots and keeps its first max_degree - p + 1
+    coefficients.  Within one call every partial product is built once at
+    max_degree, keyed by its chain of variable factors alone, and shared by
+    all monomials that reach it (SIR's S*I serves two equations).  Component
+    series carry at most max_degree + 1 coefficients (fewer when every
+    contribution lives below max_degree).
 
     Raises:
         ValueError: on dimension mismatch.
@@ -272,29 +273,25 @@ def compose_series(
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     alpha = y_series[0].alpha
     t0 = y_series[0].t0
-    # products[k] is a truncated product; (budget, k, j) names products[k]
-    # times y_j truncated at budget, so a key stands for a budget and the
-    # whole chain of factors without hashing the chain itself.
+    # (k, j) names products[k] times y_j: a key stands for a whole chain of
+    # factors without hashing the chain itself.
     products = [_from_floats(alpha, t0, (1.0,))]
-    index: dict[tuple[int, int, int], int] = {}
+    index: dict[tuple[int, int], int] = {}
     out = []
     for terms in field.equations:
         acc = _from_floats(alpha, t0, (0.0,))
         for mono in terms:
             if mono.time_power > max_degree:
                 continue
-            budget = max_degree - mono.time_power
             k = 0
             for j, e in enumerate(mono.state_powers):
                 for _ in range(e):
-                    key = (budget, k, j)
-                    if key not in index:
-                        index[key] = len(products)
-                        products.append(multiply_truncated(products[k], y_series[j], budget))
-                    k = index[key]
-            shifted = (0.0,) * mono.time_power + tuple(
-                [mono.coeff * c for c in products[k].coeffs]
-            )
+                    if (k, j) not in index:
+                        index[k, j] = len(products)
+                        products.append(multiply_truncated(products[k], y_series[j], max_degree))
+                    k = index[k, j]
+            kept = products[k].coeffs[: max_degree - mono.time_power + 1]
+            shifted = (0.0,) * mono.time_power + tuple([mono.coeff * c for c in kept])
             acc = add_scaled(acc, _from_floats(alpha, t0, shifted), 1.0, 1.0)
         out.append(acc)
     return out

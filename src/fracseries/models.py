@@ -2,7 +2,8 @@
 
 A model configuration is a JSON object with exactly these fields:
 
-    variables: array of variable names
+    variables: array of distinct variable names, none holding a comma,
+               double quote, CR or LF (each names one CSV column)
     initial:   array of initial values, one per variable
     alpha:     series/derivative order in (0, 1]
     t0:        expansion center
@@ -133,6 +134,9 @@ def parse_model_config(document: str) -> ModelSpec:
         isinstance(v, str) for v in variables
     ):
         raise ModelConfigError("'variables' must be a non-empty array of strings")
+    bad = [v for k, v in enumerate(variables) if v in variables[:k] or set(v) & set(',"\r\n')]
+    if bad:
+        raise ModelConfigError(f"variable {bad[0]!r} repeats or holds a comma, quote or line break")
     dim = len(variables)
 
     initial = doc["initial"]

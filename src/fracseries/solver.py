@@ -26,9 +26,9 @@ with `solve`.  The oracle walks one derivative chain per defect component and
 reads every limit off it on the way, so it too costs O(n^2) arithmetic rather
 than O(n^3).  Each chain computes its Gamma values once (every derivative
 shares its parent's table), so a degree-n check makes O(n) `gamma` calls
-per component.  The composition builds each truncated product once per
-call, and every polynomial on these paths, like the series `solve` returns,
-is built from floats the library computed, without re-validation.
+per component.  The composition builds each chain's product once per call,
+at full degree.  Every polynomial on these paths, like the series `solve`
+returns, is built from floats the library computed, without re-validation.
 """
 
 from __future__ import annotations

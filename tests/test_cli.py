@@ -187,6 +187,21 @@ class TestInvalidInputWritesNothing:
         cp = run_cli(command, *alpha, flag, value, "--out-dir", str(out))
         self.assert_usage_error(cp, out)
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "compare"])
+    @pytest.mark.parametrize("names", [["a,b", "c\nd"], ["x", "x"]], ids=["comma", "repeat"])
+    def test_variable_names_that_break_csv(self, tmp_path: Path, command, names):
+        # Exit 0 with CSVs a reader cannot parse was the failure mode here.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "variables": names, "initial": [1.0, 2.0], "alpha": 1.0, "t0": 0.0,
+            "equations": [[{"coeff": -1.0, "powers": [0, 1]}]] * 2,
+        }))
+        out = tmp_path / "out"
+        alpha = ("--alpha", "0.5") if command == "sweep" else ()
+        cp = run_cli(command, "--model", str(model), *alpha, "--out-dir", str(out))
+        self.assert_usage_error(cp, out)
+        assert f"variable {names[0]!r}" in cp.stderr
+
     def test_conformable_beta(self, tmp_path: Path):
         out = tmp_path / "out" / "report.csv"
         cp = run_cli("conformable", "--beta", "nan", "--alpha", "0.5", "--out", str(out))
@@ -303,9 +318,10 @@ class TestCompare:
         assert cp.returncode == 1
         assert "0.1" in cp.stderr
 
-    @pytest.mark.parametrize("names", [["a b", "a_b"], ["x", "x"]])
+    @pytest.mark.parametrize("names", [["a b", "a_b"], ["a/b", "a:b"]])
     def test_variables_sharing_an_output_file_rejected(self, tmp_path: Path, names):
         # "a b" and "a_b" would both write compare_a_b.csv, one table lost.
+        # Equal names are a model-config error (see TestInvalidInputWritesNothing).
         model = tmp_path / "model.json"
         model.write_text(json.dumps({
             "variables": names, "initial": [1.0, 2.0], "alpha": 1.0, "t0": 0.0,

@@ -458,15 +458,25 @@ def test_compose_series_bit_identical_to_per_monomial_reference(seed):
         _assert_composes_like_reference(*_chain_sharing_case(rng))
 
 
-def test_compose_series_shares_a_chain_only_within_one_budget():
-    # x*z at time powers 0 and 1: the same chain truncated at 3 and at 2;
-    # x^2*z shares the prefix x with the first.
+def test_compose_series_shares_a_chain_across_time_powers(monkeypatch):
+    # x*z at time powers 0 and 1 is one product, truncated at 3, whose first
+    # three slots serve the second monomial; x^2*z shares the prefix x.
     field = PolynomialVectorField(
         equations=((Monomial(1.0, (1, 1)), Monomial(1.0, (1, 1), time_power=1)),
                    (Monomial(1.0, (2, 1)),)),
         variable_names=("x", "z"),
     )
     series = [FractionalPolynomial(0.5, 0.0, (1.0, 1.0, 1.0, 1.0))] * 2
+    calls = []
+
+    def counted(p, q, max_degree):
+        calls.append(max_degree)
+        return multiply_truncated(p, q, max_degree)
+
+    monkeypatch.setattr("fracseries.field.multiply_truncated", counted)
+    compose_series(field, series, 3)
+    assert calls == [3] * 4  # x, x*z, x^2, x^2*z
+    monkeypatch.undo()
     got = _assert_composes_like_reference(field, series, 3)
     assert got[0].coeffs == (1.0, 3.0, 5.0, 7.0)
 

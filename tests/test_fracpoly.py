@@ -342,6 +342,30 @@ class TestLoopsMatchReference:
                     want = _multiply_truncated_reference(x, y, max_degree)
                     assert _bits(got) == _bits(want)
 
+    def test_lower_truncation_is_a_prefix_of_a_higher_one(self):
+        # compose_series builds a chain of factors once, truncated at its
+        # highest budget, and reads every lower truncation off its leading
+        # slots: slot k adds the same rows i <= k, in the same order, with the
+        # same zero-row skip, whatever the budget.
+        rng = random.Random(23)
+        pool = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        pool += [rng.uniform(-3.0, 3.0) for _ in range(5)]
+        for _ in range(150):
+            alpha, t0 = rng.choice([0.25, 0.5, 1.0]), rng.choice([0.0, -1.5])
+            factors = [
+                FractionalPolynomial(alpha, t0, tuple(rng.choices(pool, k=rng.randint(1, 8))))
+                for _ in range(rng.choice([2, 3]))
+            ]
+            chains = []
+            for budget in range(sum(f.degree for f in factors) + 3):
+                prod = factors[0]
+                for f in factors[1:]:
+                    prod = multiply_truncated(prod, f, budget)
+                chains.append(_bits(prod.coeffs))
+            for low, chain in enumerate(chains):
+                for high in chains[low + 1:]:
+                    assert chain == high[: low + 1]
+
     def test_multiply_truncated_skips_zero_rows(self):
         # 0 * inf would make NaN: a zero row of p contributes nothing at all.
         for zero in (0.0, -0.0):

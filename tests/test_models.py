@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -142,6 +144,20 @@ class TestParseModelConfig:
         doc = SHIPPED_SIR.read_text().replace(old, new.format(literal), 1)
         with pytest.raises(ModelConfigError, match=f"'{field}' must be .*finite"):
             parse_model_config(doc)
+
+    @pytest.mark.parametrize(
+        "names, bad",
+        [(["a,b", "c\nd"], "a,b"), (["x", "x"], "x"), (['q"', "r"], 'q"'), (["s", "t\r"], "t\r")],
+        ids=["comma", "repeat", "quote", "cr"],
+    )
+    def test_variable_names_that_break_csv_rejected(self, names, bad):
+        # Each name heads a CSV column; a repeat or a separator there makes
+        # files a reader cannot parse.
+        doc = json.loads(SHIPPED_SIR.read_text())
+        doc.update(variables=names, initial=[1.0, 2.0],
+                   equations=[[{"coeff": -1.0, "powers": [0, 1]}]] * 2)
+        with pytest.raises(ModelConfigError, match=f"variable {re.escape(repr(bad))} "):
+            parse_model_config(json.dumps(doc))
 
     def test_field_builds_from_spec(self):
         spec = parse_model_config(SHIPPED_SIR.read_text())
