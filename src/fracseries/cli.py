@@ -2,7 +2,7 @@
 
 Commands:
     solve        write series coefficients and sampled solution curves
-    compare      write per-variable reference-vs-series error tables
+    compare      write per-variable RK4-vs-series error tables at alpha 1
     sweep        solve for several orders and write one curve file per order
     conformable  write the Caputo/conformable power-rule discrepancy report
 
@@ -28,7 +28,7 @@ from .conformable import discrepancy_report
 from .field import PolynomialVectorField
 from .metrics import comparison_table, default_sample_times
 from .models import ModelConfigError, ModelSpec, parse_model_config, sir_model
-from .rk4 import Trajectory, rk4_integrate
+from .rk4 import rk4_integrate
 from .solver import SeriesProblem, SeriesSolution, solve
 
 
@@ -41,7 +41,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        return args.func(args)
+        # Commands only compute; every file is written here, all or nothing.
+        out_dir, tables = args.func(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_csvs(out_dir, tables)
+        return 0
     except (UsageError, ModelConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -66,15 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_compare = sub.add_parser(
-        "compare", help="compare the series against an integer-order reference"
+        "compare", help="compare the alpha = 1 series against RK4"
     )
     _add_model_flags(p_compare)
-    p_compare.add_argument("--alpha", type=float, default=1.0,
-                           help="must be 1 (reference is integer-order)")
     p_compare.add_argument("--rk-step", type=float, default=1e-4,
                            help="Runge-Kutta step size")
-    p_compare.add_argument("--reference", choices=("rk4", "acps"), default="rk4",
-                           help="reference column source (acps = self-comparison)")
     p_compare.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="solve for several orders, one curve file each")
@@ -140,9 +140,12 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
         if given:
             raise UsageError("--p1/--p2/--initial apply only to the builtin sir model")
         path = Path(args.model)
-        if not path.exists():
+        if not path.is_file():
             raise UsageError(f"model file not found: {path}")
-        return parse_model_config(path.read_text(encoding="utf-8"))
+        try:
+            return parse_model_config(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ModelConfigError(f"model file {path} is not UTF-8: {exc}") from exc
     if args.initial is not None:
         parts = [p.strip() for p in args.initial.split(",")]
         if len(parts) != 3:
@@ -163,34 +166,31 @@ def _solve(spec: ModelSpec, field: PolynomialVectorField, alpha: float,
                                t0=spec.t0, degree=degree))
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+Table = tuple[str, str, Iterable[tuple[str, ...]]]  # file name, header, rows
+Output = tuple[Path, list[Table]]  # directory, tables
+
+
+def _cmd_solve(args: argparse.Namespace) -> Output:
     spec = _load_model(args)
     times = _sample_grid(spec.t0, args.t_end, args.samples)
     alpha = args.alpha if args.alpha is not None else spec.alpha
     solution = _solve(spec, spec.field(), alpha, args.degree)
-    tables = [("coefficients.csv", *_coefficients(spec, solution)),
-              ("samples.csv", *_samples(spec, solution, times))]
-    _write_csvs(_ensure_dir(args.out_dir), tables)
-    return 0
+    return Path(args.out_dir), [("coefficients.csv", *_coefficients(spec, solution)),
+                                ("samples.csv", *_samples(spec, solution, times))]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Output:
     spec = _load_model(args)
     times = _sample_grid(spec.t0, args.t_end, args.samples)
     field = spec.field()
-    # Solve every order first, so that a failing one leaves no partial output.
-    solutions = [_solve(spec, field, alpha, args.degree) for alpha in args.alpha]
-    tables = [
-        (f"samples_alpha_{alpha!r}.csv", *_samples(spec, solution, times))
-        for alpha, solution in zip(args.alpha, solutions)
+    return Path(args.out_dir), [
+        (f"samples_alpha_{alpha!r}.csv",
+         *_samples(spec, _solve(spec, field, alpha, args.degree), times))
+        for alpha in args.alpha
     ]
-    _write_csvs(_ensure_dir(args.out_dir), tables)
-    return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.alpha != 1.0:
-        raise ValueError("compare requires --alpha 1")
+def _cmd_compare(args: argparse.Namespace) -> Output:
     spec = _load_model(args)
     file_names: dict[str, str] = {}
     for name in spec.variable_names:
@@ -201,19 +201,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 f"write {file_name}"
             )
         file_names[file_name] = name
+    h = args.rk_step
+    record_every = round(0.1 / h)
+    if abs(record_every * h - 0.1) > 1e-12:
+        raise UsageError(f"--rk-step {h} does not divide the 0.1 sample spacing")
     field = spec.field()
     solution = _solve(spec, field, 1.0, args.degree)
+    trajectory = rk4_integrate(field, spec.initial, spec.t0, spec.t0 + 1.0, h, record_every)
     sample_times = default_sample_times(spec.t0)
-    if args.reference == "rk4":
-        h = args.rk_step
-        record_every = round(0.1 / h)
-        if abs(record_every * h - 0.1) > 1e-12:
-            raise ValueError(f"--rk-step {h} does not divide the 0.1 sample spacing")
-        trajectory = rk4_integrate(
-            field, spec.initial, spec.t0, spec.t0 + 1.0, h, record_every
-        )
-    else:
-        trajectory = _series_trajectory(solution, sample_times)
     tables = []
     for j, (file_name, name) in enumerate(file_names.items()):
         table = comparison_table(trajectory, solution.series, j, sample_times, name)
@@ -223,11 +218,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             for r in table.rows
         ]
         tables.append((file_name, "t,reference,acps,abs_err,rel_err", rows))
-    _write_csvs(_ensure_dir(args.out_dir), tables)
-    return 0
+    return Path(args.out_dir), tables
 
 
-def _cmd_conformable(args: argparse.Namespace) -> int:
+def _cmd_conformable(args: argparse.Namespace) -> Output:
     report = discrepancy_report(args.beta, args.alpha)
     rows = [
         ("alpha", _fmt(report.alpha)),
@@ -238,15 +232,7 @@ def _cmd_conformable(args: argparse.Namespace) -> int:
         ("ratio", _fmt(report.ratio)),
     ]
     out = Path(args.out)
-    _write_csvs(_ensure_dir(str(out.parent)), [(out.name, "field,value", rows)])
-    return 0
-
-
-def _series_trajectory(solution: SeriesSolution, times: list[float]) -> Trajectory:
-    states = tuple(
-        tuple(s.evaluate(t) for s in solution.series) for t in times
-    )
-    return Trajectory(times=tuple(times), states=states)
+    return out.parent, [(out.name, "field,value", rows)]
 
 
 def _sample_grid(t0: float, t_end: float, samples: int) -> list[float]:
@@ -254,9 +240,6 @@ def _sample_grid(t0: float, t_end: float, samples: int) -> list[float]:
         raise UsageError(f"--t-end {t_end} must exceed the model t0 {t0}")
     span = t_end - t0
     return [t0 + span * (k / samples) for k in range(samples + 1)]
-
-
-Table = tuple[str, str, Iterable[tuple[str, ...]]]  # file name, header, rows
 
 
 def _coefficients(spec: ModelSpec, solution: SeriesSolution) -> tuple[str, list]:
@@ -320,12 +303,6 @@ def _fmt(x: float) -> str:
 
 def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
-
-
-def _ensure_dir(out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 if __name__ == "__main__":

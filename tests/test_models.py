@@ -147,12 +147,13 @@ class TestParseModelConfig:
 
     @pytest.mark.parametrize(
         "names, bad",
-        [(["a,b", "c\nd"], "a,b"), (["x", "x"], "x"), (['q"', "r"], 'q"'), (["s", "t\r"], "t\r")],
-        ids=["comma", "repeat", "quote", "cr"],
+        [(["a,b", "c\nd"], "a,b"), (["x", "x"], "x"), (['q"', "r"], 'q"'), (["s", "t\r"], "t\r"),
+         (["y", "t"], "t")],
+        ids=["comma", "repeat", "quote", "cr", "time"],
     )
     def test_variable_names_that_break_csv_rejected(self, names, bad):
         # Each name heads a CSV column; a repeat or a separator there makes
-        # files a reader cannot parse.
+        # files a reader cannot parse, and "t" would repeat the time column.
         doc = json.loads(SHIPPED_SIR.read_text())
         doc.update(variables=names, initial=[1.0, 2.0],
                    equations=[[{"coeff": -1.0, "powers": [0, 1]}]] * 2)
