@@ -21,7 +21,7 @@ from .fracpoly import (
     caputo_power_rule,
     multiply_truncated,
 )
-from .metrics import ErrorTable, TableRow, comparison_table, default_sample_times
+from .metrics import TableRow, comparison_table, default_sample_times
 from .models import ModelConfigError, ModelSpec, parse_model_config, sir_field, sir_model
 from .rk4 import Trajectory, rk4_integrate
 from .solver import (
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscrepancyReport",
-    "ErrorTable",
     "FractionalPolynomial",
     "GridMismatchError",
     "ModelConfigError",

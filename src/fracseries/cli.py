@@ -210,12 +210,11 @@ def _cmd_compare(args: argparse.Namespace) -> Output:
     trajectory = rk4_integrate(field, spec.initial, spec.t0, spec.t0 + 1.0, h, record_every)
     sample_times = default_sample_times(spec.t0)
     tables = []
-    for j, (file_name, name) in enumerate(file_names.items()):
-        table = comparison_table(trajectory, solution.series, j, sample_times, name)
+    for j, file_name in enumerate(file_names):
         rows = [
             (_fmt(r.t), _fmt(r.reference), _fmt(r.approximation),
              _fmt(r.absolute_error), _fmt(r.relative_error))
-            for r in table.rows
+            for r in comparison_table(trajectory, solution.series, j, sample_times)
         ]
         tables.append((file_name, "t,reference,acps,abs_err,rel_err", rows))
     return Path(args.out_dir), tables

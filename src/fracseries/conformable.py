@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fracpoly import caputo_power_rule
 from .special import gamma
 
 
@@ -35,19 +34,16 @@ class DiscrepancyReport:
 
 
 def _check_exponent(beta_exp: float, alpha: float) -> int:
-    if alpha <= 0.0:
-        raise ValueError(f"order must be positive, got {alpha}")
+    """m = ceil(alpha), once alpha is positive and finite and beta_exp is
+    finite and above m - 1 (else a Gamma argument would be non-positive)."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"order must be positive and finite, got {alpha}")
     m = math.ceil(alpha)
-    if not beta_exp > m - 1:
+    if not m - 1 < beta_exp < math.inf:
         raise ValueError(
-            f"exponent {beta_exp} must exceed m - 1 = {m - 1} for order {alpha}"
+            f"exponent {beta_exp} must be finite and exceed m - 1 = {m - 1} for order {alpha}"
         )
     return m
-
-
-def _conformable_coefficient(beta_exp: float, m: int) -> float:
-    """Gamma(beta_exp + 1) / Gamma(beta_exp - m + 1), the conformable power rule's."""
-    return gamma(beta_exp + 1.0) / gamma(beta_exp - m + 1.0)
 
 
 def conformable_power_derivative(beta_exp: float, alpha: float, t_shift: float) -> float:
@@ -56,11 +52,13 @@ def conformable_power_derivative(beta_exp: float, alpha: float, t_shift: float) 
     Value: Gamma(beta_exp + 1) / Gamma(beta_exp - m + 1) * t_shift^(beta_exp - alpha).
 
     Raises:
-        ValueError: if beta_exp <= m - 1, t_shift < 0, or t_shift = 0 with a
-            negative result exponent.
+        ValueError: if alpha is not positive and finite, beta_exp is not
+            finite or beta_exp <= m - 1, t_shift is negative or NaN, or
+            t_shift = 0 with a negative result exponent.
     """
     m = _check_exponent(beta_exp, alpha)
-    return _conformable_coefficient(beta_exp, m) * _power(t_shift, beta_exp - alpha)
+    coefficient = gamma(beta_exp + 1.0) / gamma(beta_exp - m + 1.0)
+    return coefficient * _power(t_shift, beta_exp - alpha)
 
 
 def caputo_power_value(beta_exp: float, alpha: float, t_shift: float) -> float:
@@ -71,10 +69,9 @@ def caputo_power_value(beta_exp: float, alpha: float, t_shift: float) -> float:
     Raises:
         ValueError: as for `conformable_power_derivative`.
     """
-    # With beta_exp > m - 1 checked, the rule never takes its None branch.
     _check_exponent(beta_exp, alpha)
-    coefficient, exponent = caputo_power_rule(beta_exp, alpha)
-    return coefficient * _power(t_shift, exponent)
+    coefficient = gamma(beta_exp + 1.0) / gamma(beta_exp - alpha + 1.0)
+    return coefficient * _power(t_shift, beta_exp - alpha)
 
 
 def discrepancy_report(beta_exp: float, alpha: float) -> DiscrepancyReport:
@@ -82,24 +79,28 @@ def discrepancy_report(beta_exp: float, alpha: float) -> DiscrepancyReport:
 
     The ratio Gamma(beta_exp - m + 1) / Gamma(beta_exp - alpha + 1) is the
     factor the conformable coefficient is missing relative to the Caputo one:
-    caputo = conformable * ratio.
+    caputo = conformable * ratio.  Each of the three Gamma values is computed
+    once.
+
+    Raises:
+        ValueError: as for `conformable_power_derivative`, t_shift aside.
     """
     m = _check_exponent(beta_exp, alpha)
-    caputo, _ = caputo_power_rule(beta_exp, alpha)
-    conformable = _conformable_coefficient(beta_exp, m)
-    ratio = gamma(beta_exp - m + 1.0) / gamma(beta_exp - alpha + 1.0)
+    top = gamma(beta_exp + 1.0)
+    caputo_bottom = gamma(beta_exp - alpha + 1.0)
+    conformable_bottom = gamma(beta_exp - m + 1.0)
     return DiscrepancyReport(
         alpha=alpha,
         beta_exp=beta_exp,
         m=m,
-        caputo_coefficient=caputo,
-        conformable_coefficient=conformable,
-        ratio=ratio,
+        caputo_coefficient=top / caputo_bottom,
+        conformable_coefficient=top / conformable_bottom,
+        ratio=conformable_bottom / caputo_bottom,
     )
 
 
 def _power(t_shift: float, exponent: float) -> float:
-    if t_shift < 0.0:
+    if not t_shift >= 0.0:
         raise ValueError(f"t_shift must be non-negative, got {t_shift}")
     if t_shift == 0.0:
         if exponent < 0.0:

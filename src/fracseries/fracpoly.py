@@ -86,11 +86,11 @@ class FractionalPolynomial:
         powers of negative bases are rejected.
 
         Raises:
-            ValueError: if t < t0.
+            ValueError: if t < t0 or t is NaN.
         """
         u = t - self.t0
-        if u < 0.0:
-            raise ValueError(f"evaluation point {t} lies before the center t0={self.t0}")
+        if not u >= 0.0:
+            raise ValueError(f"evaluation point {t} is not at or after the center t0={self.t0}")
         if u == 0.0:
             return self.coeffs[0]
         x = u**self.alpha
@@ -225,9 +225,7 @@ def multiply_truncated(
     return _from_floats(p.alpha, p.t0, tuple(out))
 
 
-def caputo_power_rule(
-    beta_exp: float, alpha: float, t0: float = 0.0
-) -> tuple[float, float] | None:
+def caputo_power_rule(beta_exp: float, alpha: float) -> tuple[float, float] | None:
     """Caputo derivative of order alpha of the power (t - t0)^beta_exp.
 
     Let m be the smallest integer >= alpha.  Returns None when beta_exp is a
@@ -237,16 +235,15 @@ def caputo_power_rule(
         coefficient = Gamma(beta_exp + 1) / Gamma(beta_exp - alpha + 1)
         new_exponent = beta_exp - alpha.
 
-    The coefficient does not depend on the expansion point t0.
-
     Raises:
-        ValueError: if alpha <= 0, beta_exp < 0, or beta_exp <= m - 1 for a
-            non-integer beta_exp (the Gamma argument would be non-positive).
+        ValueError: if alpha is not positive and finite, beta_exp is negative
+            or not finite, or beta_exp <= m - 1 for a non-integer beta_exp
+            (the Gamma argument would be non-positive).
     """
-    if alpha <= 0.0:
-        raise ValueError(f"derivative order must be positive, got {alpha}")
-    if beta_exp < 0.0:
-        raise ValueError(f"power exponent must be non-negative, got {beta_exp}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"derivative order must be positive and finite, got {alpha}")
+    if not 0.0 <= beta_exp < math.inf:
+        raise ValueError(f"power exponent must be non-negative and finite, got {beta_exp}")
     m = math.ceil(alpha)
     if beta_exp == math.floor(beta_exp) and beta_exp < m:
         return None

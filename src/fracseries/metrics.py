@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .fracpoly import FractionalPolynomial
@@ -19,14 +18,6 @@ class TableRow(NamedTuple):
     relative_error: float
 
 
-@dataclass(frozen=True)
-class ErrorTable:
-    """Per-sample reference/approximation values and their errors."""
-
-    variable: str
-    rows: tuple[TableRow, ...]
-
-
 def default_sample_times(t0: float = 0.0) -> list[float]:
     """The standard comparison grid t0 + i/10, i = 0..10."""
     return [t0 + i / 10 for i in range(11)]
@@ -37,9 +28,8 @@ def comparison_table(
     series: Sequence[FractionalPolynomial],
     component: int,
     sample_times: Sequence[float],
-    variable: str | None = None,
-) -> ErrorTable:
-    """Build one error table for a single state component.
+) -> tuple[TableRow, ...]:
+    """One error-table row per sample time for a single state component.
 
     Every sample time must appear on the trajectory grid (within 1e-12).
     Relative error against a zero reference is reported as nan rather than
@@ -56,8 +46,7 @@ def comparison_table(
         abs_err = abs(ref - approx)
         rel_err = abs_err / abs(ref) if ref != 0.0 else float("nan")
         rows.append(TableRow(t, ref, approx, abs_err, rel_err))
-    name = variable if variable is not None else f"y{component}"
-    return ErrorTable(variable=name, rows=tuple(rows))
+    return tuple(rows)
 
 
 def _grid_index(times: tuple[float, ...], t: float) -> int:

@@ -43,27 +43,6 @@ class ModelSpec:
             equations=self.equations, variable_names=self.variable_names
         )
 
-    def to_json(self) -> str:
-        """Serialize in the schema accepted by `parse_model_config`."""
-        doc = {
-            "variables": list(self.variable_names),
-            "initial": list(self.initial),
-            "alpha": self.alpha,
-            "t0": self.t0,
-            "equations": [
-                [
-                    {
-                        "coeff": m.coeff,
-                        "powers": list(m.state_powers),
-                        "tpower": m.time_power,
-                    }
-                    for m in terms
-                ]
-                for terms in self.equations
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
 
 def sir_field(p1: float, p2: float) -> PolynomialVectorField:
     """Susceptible-infected-recovered vector field.

@@ -10,6 +10,7 @@ calling `evaluate_field` per stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .field import PolynomialVectorField, evaluate_field
@@ -43,9 +44,13 @@ def rk4_integrate(
     t_end - t0 to within 1e-12 so the grid lands exactly on t_end.
 
     Raises:
-        ValueError: for non-positive h or record_every, t_end <= t0, or a
-            step that does not divide the interval.
+        ValueError: for a non-finite t0, t_end, h or step count, non-positive
+            h or record_every, t_end <= t0, or a step that does not divide
+            the interval.
     """
+    for name, value in (("t0", t0), ("t_end", t_end), ("h", h)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     if record_every <= 0:
@@ -53,7 +58,10 @@ def rk4_integrate(
     if t_end <= t0:
         raise ValueError(f"t_end={t_end} must exceed t0={t0}")
     span = t_end - t0
-    n_steps = round(span / h)
+    steps = span / h
+    if not math.isfinite(steps):
+        raise ValueError(f"step count {steps} for step {h} is not finite")
+    n_steps = round(steps)
     if n_steps == 0 or abs(n_steps * h - span) > 1e-12:
         raise ValueError(f"step {h} does not divide the interval length {span}")
 

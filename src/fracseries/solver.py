@@ -18,24 +18,22 @@ field (`FieldPlan.recurrence` on `PolynomialVectorField.plan`, written by
 partial products appends grid slot i-1 to its own float list, then every
 equation sums its terms in the order `compose_series` sums them, so the
 coefficients are bit-identical to recomposing the whole field at every step.
-`solve` stops there: the defect diagnostics
-(`SeriesSolution.defect_coefficients`) are computed only when first read.
-They and `verify_defect_conditions` stay on the literal path
-(`compose_series`, then repeated Caputo derivatives), with no shortcut shared
-with `solve`.  The oracle walks one derivative chain per defect component and
-reads every limit off it on the way, so it too costs O(n^2) arithmetic rather
-than O(n^3).  Each chain computes its Gamma values once (every derivative
-shares its parent's table), so a degree-n check makes O(n) `gamma` calls
-per component.  The composition builds each chain's product once per call,
-at full degree.  Every polynomial on these paths, like the series `solve`
-returns, is built from floats the library computed, without re-validation.
+`solve` stops there and builds no defect.  `build_defect` and
+`verify_defect_conditions` stay on the literal path (`compose_series`, then
+repeated Caputo derivatives), with no shortcut shared with `solve`.  The
+oracle walks one derivative chain per defect component and reads every limit
+off it on the way, so it too costs O(n^2) arithmetic rather than O(n^3).
+Each chain computes its Gamma values once (every derivative shares its
+parent's table), so a degree-n check makes O(n) `gamma` calls per component.
+The composition builds each chain's product once per call, at full degree.
+Every polynomial on these paths, like the series `solve` returns, is built
+from floats the library computed, without re-validation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .field import PolynomialVectorField, compose_series
 from .fracpoly import FractionalPolynomial, _from_floats, add_scaled
@@ -62,8 +60,8 @@ class SeriesProblem:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not math.isfinite(self.t0):
             raise ValueError(f"t0 must be finite, got {self.t0}")
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        if type(self.degree) is not int or self.degree < 0:
+            raise ValueError(f"degree must be an int >= 0, got {self.degree!r}")
 
 
 @dataclass(frozen=True)
@@ -72,21 +70,6 @@ class SeriesSolution:
 
     series: tuple[FractionalPolynomial, ...]
     problem: SeriesProblem
-
-    @cached_property
-    def defect_coefficients(self) -> tuple[tuple[float, ...], ...]:
-        """Residual defect coefficients, computed on first access.
-
-        `defect_coefficients[j]` holds grid slots 0..degree-1 of the defect
-        of equation j evaluated on the series, built by the literal
-        `build_defect`; every entry should be zero up to rounding.  Degree 0
-        gives one empty tuple per equation (there is no condition to impose).
-        """
-        n = self.problem.degree
-        if n == 0:
-            return tuple(() for _ in self.series)
-        defect = build_defect(self.problem.field, list(self.series), n - 1)
-        return tuple(tuple(d.coefficient(k) for k in range(n)) for d in defect)
 
 
 def build_defect(
@@ -109,8 +92,8 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
     The constant coefficients are the initial values; each further index is
     fixed by the explicit recursion described in the module docstring, all
     components advancing in lockstep.  Degree 0 returns the constant initial
-    values.  The defect diagnostics are left to the first read of
-    `SeriesSolution.defect_coefficients`.
+    values.  No defect is built; `build_defect` and `verify_defect_conditions`
+    check the result.
     """
     n = problem.degree
     a = problem.alpha

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fracseries import (
@@ -44,6 +46,10 @@ class TestConformablePowerDerivative:
     def test_zero_shift_with_positive_exponent_vanishes(self):
         assert conformable_power_derivative(1.0, 0.5, 0.0) == 0.0
 
+    def test_nan_shift_rejected(self):
+        with pytest.raises(ValueError, match="t_shift must be non-negative"):
+            conformable_power_derivative(1.0, 0.5, math.nan)
+
 
 class TestCaputoPowerValue:
     def test_integer_order_is_classical(self):
@@ -86,6 +92,37 @@ class TestDiscrepancyReport:
     def test_pole_case_rejected(self):
         with pytest.raises(ValueError):
             discrepancy_report(0.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "beta_exp, alpha, message",
+        [
+            (0.5, math.nan, "order must be positive and finite"),
+            (1.0, math.inf, "order must be positive and finite"),
+            (math.nan, 0.5, "must be finite and exceed m - 1"),
+            (math.inf, 0.5, "must be finite and exceed m - 1"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            discrepancy_report,
+            lambda b, a: caputo_power_value(b, a, 1.0),
+            lambda b, a: conformable_power_derivative(b, a, 1.0),
+        ],
+        ids=["report", "caputo", "conformable"],
+    )
+    def test_non_finite_inputs_rejected(self, call, beta_exp, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            call(beta_exp, alpha)
+
+    def test_three_gamma_calls(self, monkeypatch):
+        import fracseries.conformable as conformable
+
+        args = []
+        real = conformable.gamma
+        monkeypatch.setattr(conformable, "gamma", lambda x: args.append(x) or real(x))
+        discrepancy_report(1.5, 0.7)
+        assert args == [2.5, 1.5 - 0.7 + 1.0, 1.5]
 
 
 @pytest.mark.parametrize("alpha", [i / 10 for i in range(1, 11)])

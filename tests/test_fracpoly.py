@@ -81,6 +81,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             fp(0.5, 1.0, 1.0).evaluate(0.5)
 
+    def test_nan_point_rejected(self):
+        # NaN compares False with everything, so only `not u >= 0.0` rejects it.
+        with pytest.raises(ValueError, match="not at or after the center"):
+            fp(0.5, 0.0, 1.0, 2.0).evaluate(math.nan)
+
     def test_fractional_power_evaluation(self):
         p = fp(0.5, 0.0, 0.0, 3.0)  # 3 * t^0.5
         assert p.evaluate(4.0) == pytest.approx(6.0, rel=1e-14)
@@ -163,9 +168,6 @@ class TestCaputoPowerRule:
         assert coeff == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-12)
         assert exponent == 0.5
 
-    def test_center_does_not_change_coefficient(self):
-        assert caputo_power_rule(1.5, 0.5, t0=3.0) == caputo_power_rule(1.5, 0.5)
-
     def test_exponent_below_requirement_rejected(self):
         with pytest.raises(ValueError):
             caputo_power_rule(0.5, 1.5)  # m = 2, needs exponent > 1
@@ -173,6 +175,16 @@ class TestCaputoPowerRule:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             caputo_power_rule(-0.5, 0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+    def test_order_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="order must be positive and finite"):
+            caputo_power_rule(0.5, alpha)
+
+    @pytest.mark.parametrize("beta_exp", [math.nan, math.inf])
+    def test_exponent_must_be_finite(self, beta_exp):
+        with pytest.raises(ValueError, match="exponent must be non-negative and finite"):
+            caputo_power_rule(beta_exp, 0.5)
 
 
 class TestCaputoDerivative:

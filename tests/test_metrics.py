@@ -33,17 +33,14 @@ def test_identical_inputs_give_zero_errors():
         times=tuple(times),
         states=tuple(tuple(s.evaluate(t) for s in series) for t in times),
     )
-    table = comparison_table(traj, series, 0, times, "S")
-    for row in table.rows:
+    table = comparison_table(traj, series, 0, times)
+    for row in table:
         assert row.absolute_error == 0.0
         assert row.relative_error == 0.0
 
 
 def test_susceptible_row_at_tenth_matches_published_errors():
-    table = comparison_table(
-        _published_trajectory(), _published_series(), 0, [0.1], "S"
-    )
-    row = table.rows[0]
+    (row,) = comparison_table(_published_trajectory(), _published_series(), 0, [0.1])
     assert row.reference == 619.3630315796735
     assert row.approximation == pytest.approx(619.3630315791875, abs=1e-9)
     assert row.absolute_error == pytest.approx(4.860112312599085e-10, rel=5e-3)
@@ -51,10 +48,8 @@ def test_susceptible_row_at_tenth_matches_published_errors():
 
 
 def test_infected_row_at_one_matches_published_error():
-    table = comparison_table(
-        _published_trajectory(), _published_series(), 1, [1.0], "I"
-    )
-    assert table.rows[0].absolute_error == pytest.approx(
+    (row,) = comparison_table(_published_trajectory(), _published_series(), 1, [1.0])
+    assert row.absolute_error == pytest.approx(
         ABS_ERROR_AT_1["I"], rel=5e-3
     )
 
@@ -67,17 +62,12 @@ def test_error_product_identity_and_sign():
         for j in range(3)
     ]
     for table in tables:
-        for row in table.rows:
+        for row in table:
             assert row.absolute_error >= 0.0
             assert row.relative_error >= 0.0
             product = row.relative_error * abs(row.reference)
             if row.absolute_error:
                 assert product == pytest.approx(row.absolute_error, rel=1e-15)
-
-
-def test_variable_name_defaults_to_component():
-    table = comparison_table(_published_trajectory(), _published_series(), 2, [0.5])
-    assert table.variable == "y2"
 
 
 def test_missing_sample_time_rejected():
@@ -89,9 +79,9 @@ def test_zero_reference_reports_nan_relative_error():
     traj = Trajectory(times=(0.0, 1.0), states=((0.0,), (1.0,)))
     series = [FractionalPolynomial(1.0, 0.0, (0.5,))]
     table = comparison_table(traj, series, 0, [0.0, 1.0])
-    assert math.isnan(table.rows[0].relative_error)
-    assert table.rows[0].absolute_error == 0.5
-    assert table.rows[1].relative_error == 0.5
+    assert math.isnan(table[0].relative_error)
+    assert table[0].absolute_error == 0.5
+    assert table[1].relative_error == 0.5
 
 
 def test_default_sample_times_grid():

@@ -17,7 +17,6 @@ from fracseries import (  # noqa: E402
     Monomial,
     PolynomialVectorField,
     SeriesProblem,
-    build_defect,
     solve,
 )
 
@@ -96,16 +95,3 @@ def test_conservative_fields_keep_coefficient_sums_at_zero(problem):
         total = math.fsum(s.coeffs[i] for s in series)
         scale = math.fsum(b.coeffs[i] for b in bound)
         assert abs(total) <= 1e-12 * scale, (i, total, scale)
-
-
-@SETTINGS
-@given(problems())
-def test_defect_coefficients_match_build_defect(problem):
-    solution = solve(problem)
-    n = problem.degree
-    if n == 0:
-        expected = [[] for _ in solution.series]
-    else:
-        defect = build_defect(problem.field, list(solution.series), n - 1)
-        expected = [_bits(d.coefficient(k) for k in range(n)) for d in defect]
-    assert [_bits(row) for row in solution.defect_coefficients] == expected

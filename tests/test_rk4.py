@@ -86,6 +86,21 @@ def test_reversed_interval_rejected():
         rk4_integrate(EXP_FIELD, (1.0,), 1.0, 0.0, 0.1, 1)
 
 
+@pytest.mark.parametrize(
+    "t0, t_end, h, message",
+    [
+        (math.nan, 1.0, 0.1, "t0 must be finite"),
+        (0.0, math.inf, 0.1, "t_end must be finite"),
+        (0.0, 1.0, math.nan, "h must be finite"),
+        (0.0, 1e300, 1e-300, "step count inf"),
+        (-1e308, 1e308, 1.0, "step count inf"),
+    ],
+)
+def test_non_finite_grid_rejected(t0, t_end, h, message):
+    with pytest.raises(ValueError, match=message):
+        rk4_integrate(EXP_FIELD, (1.0,), t0, t_end, h, 1)
+
+
 def test_nonpositive_record_every_rejected():
     with pytest.raises(ValueError):
         rk4_integrate(EXP_FIELD, (1.0,), 0.0, 1.0, 0.1, 0)

@@ -91,10 +91,10 @@ class TestSolve:
     def test_initial_condition_is_exact(self, sir_solution_deg9):
         assert tuple(s.coeffs[0] for s in sir_solution_deg9.series) == INITIAL
 
-    def test_defect_diagnostics_vanish(self, sir_solution_deg9):
-        for row in sir_solution_deg9.defect_coefficients:
-            assert len(row) == 9
-            assert max(abs(v) for v in row) <= 1e-12
+    def test_defect_diagnostics_vanish(self, sir_spec, sir_solution_deg9):
+        for d in build_defect(sir_spec.field(), sir_solution_deg9.series, 8):
+            assert d.degree == 8
+            assert max(abs(v) for v in d.coeffs) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     def test_general_alpha_low_order_closed_forms(self, sir_spec, alpha):
@@ -121,7 +121,6 @@ class TestSolve:
         )
         solution = solve(problem)
         assert tuple(s.coeffs for s in solution.series) == ((620.0,), (10.0,), (70.0,))
-        assert solution.defect_coefficients == ((), (), ())
 
     def test_nonzero_center_shifts_expansion(self):
         import math
@@ -162,6 +161,14 @@ class TestSolve:
         # A NaN t0 used to solve, then fail the grid check against itself.
         with pytest.raises(ValueError, match="t0 must be finite"):
             SeriesProblem(field=sir_spec.field(), y0=INITIAL, alpha=0.5, t0=t0, degree=3)
+
+    @pytest.mark.parametrize("degree", [2.5, 3.0, "3", True, -1])
+    def test_degree_must_be_a_non_negative_int(self, sir_spec, degree):
+        # A float or bool degree would otherwise construct, then fail inside solve.
+        with pytest.raises(ValueError, match="degree must be an int >= 0"):
+            SeriesProblem(
+                field=sir_spec.field(), y0=INITIAL, alpha=0.5, t0=0.0, degree=degree
+            )
 
 
 class TestVerifyDefectConditions:
@@ -251,8 +258,8 @@ def _solve_by_recomposition(problem):
     """The solver's recursion as first written: at every step, compose the
     whole field with the partial series from scratch and read off slot i-1.
 
-    O(n^3) and built only on `compose_series`, `build_defect` and `gamma`;
-    `solve` must reproduce its coefficients and defects bit for bit.
+    O(n^3) and built only on `compose_series` and `gamma`; `solve` must
+    reproduce its coefficients bit for bit.
     """
     a, t0, n = problem.alpha, problem.t0, problem.degree
     partial = [FractionalPolynomial(a, t0, (v,)) for v in problem.y0]
@@ -263,10 +270,7 @@ def _solve_by_recomposition(problem):
             FractionalPolynomial(a, t0, p.coeffs + (ratio * fp.coefficient(i - 1),))
             for p, fp in zip(partial, composed)
         ]
-    if n == 0:
-        return partial, tuple(() for _ in partial)
-    defect = build_defect(problem.field, partial, n - 1)
-    return partial, tuple(tuple(d.coefficient(k) for k in range(n)) for d in defect)
+    return partial
 
 
 def _bits(values):
@@ -276,9 +280,8 @@ def _bits(values):
 
 def _assert_matches_recomposition(problem):
     solution = solve(problem)
-    series, defect = _solve_by_recomposition(problem)
+    series = _solve_by_recomposition(problem)
     assert [_bits(s.coeffs) for s in solution.series] == [_bits(s.coeffs) for s in series]
-    assert [_bits(d) for d in solution.defect_coefficients] == [_bits(d) for d in defect]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
@@ -527,28 +530,6 @@ def test_solve_builds_no_defect(sir_spec, monkeypatch, which):
     solution = solve(problem)
     assert calls == {}
     assert solution.problem is problem
-    assert "defect_coefficients" not in vars(solution)
-
-
-def test_defect_coefficients_computed_once_on_first_access(sir_spec, monkeypatch):
-    solution = solve(_sir_problem(sir_spec, 0.75, 20))
-    calls = _count_defect_path_calls(monkeypatch)
-    first = solution.defect_coefficients
-    assert calls["build_defect"] == 1
-    assert calls["compose_series"] == 1
-    before = dict(calls)
-    assert solution.defect_coefficients is first
-    assert calls == before
-
-
-@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
-def test_defect_coefficients_bit_identical_to_build_defect(sir_spec, alpha):
-    n = 40
-    solution = solve(_sir_problem(sir_spec, alpha, n))
-    defect = build_defect(solution.problem.field, list(solution.series), n - 1)
-    assert [_bits(row) for row in solution.defect_coefficients] == [
-        _bits(d.coefficient(k) for k in range(n)) for d in defect
-    ]
 
 
 def _limits_per_index(problem, series):
