@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import fracseries.conformable as conformable_module
 from fracseries import (
     caputo_power_value,
     conformable_power_derivative,
@@ -116,11 +117,9 @@ class TestDiscrepancyReport:
             call(beta_exp, alpha)
 
     def test_three_gamma_calls(self, monkeypatch):
-        import fracseries.conformable as conformable
-
         args = []
-        real = conformable.gamma
-        monkeypatch.setattr(conformable, "gamma", lambda x: args.append(x) or real(x))
+        real = conformable_module.gamma
+        monkeypatch.setattr(conformable_module, "gamma", lambda x: args.append(x) or real(x))
         discrepancy_report(1.5, 0.7)
         assert args == [2.5, 1.5 - 0.7 + 1.0, 1.5]
 
