@@ -18,7 +18,6 @@ from .fracpoly import (
     FractionalPolynomial,
     GridMismatchError,
     add_scaled,
-    caputo_power_rule,
     multiply_truncated,
 )
 from .metrics import TableRow, comparison_table, default_sample_times
@@ -49,7 +48,6 @@ __all__ = [
     "Trajectory",
     "add_scaled",
     "build_defect",
-    "caputo_power_rule",
     "caputo_power_value",
     "comparison_table",
     "compose_series",

@@ -11,6 +11,11 @@ by the factor Gamma(beta - m + 1) / Gamma(beta - alpha + 1), which is 1
 exactly when alpha is an integer.  This module computes both values and the
 factor so the disagreement at fractional orders is a checked number rather
 than an argument.
+
+Each Gamma argument is rounded once: beta + 1, beta + (1 - alpha) and
+beta - (m - 1), where 1 - alpha is exact for alpha >= 1/2 and beta - (m - 1)
+is exact near m - 1.  So tiny beta and alpha near 1 keep their digits, and at
+integer alpha both arguments are the same double and the ratio is exactly 1.
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ class DiscrepancyReport:
     ratio: float
 
 
-def _check_exponent(beta_exp: float, alpha: float) -> int:
-    """m = ceil(alpha), once alpha is positive and finite and beta_exp is
-    finite and above m - 1 (else a Gamma argument would be non-positive)."""
+def _gamma_arguments(beta_exp: float, alpha: float) -> tuple[int, float, float, float]:
+    """m = ceil(alpha) and the Gamma arguments beta_exp + 1 (both numerators),
+    beta_exp - alpha + 1 (Caputo) and beta_exp - m + 1 (conformable), once
+    alpha is positive and finite and beta_exp is finite and above m - 1 (else
+    a Gamma argument would be non-positive)."""
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"order must be positive and finite, got {alpha}")
     m = math.ceil(alpha)
@@ -43,7 +50,7 @@ def _check_exponent(beta_exp: float, alpha: float) -> int:
         raise ValueError(
             f"exponent {beta_exp} must be finite and exceed m - 1 = {m - 1} for order {alpha}"
         )
-    return m
+    return m, beta_exp + 1.0, beta_exp + (1.0 - alpha), beta_exp - (m - 1)
 
 
 def conformable_power_derivative(beta_exp: float, alpha: float, t_shift: float) -> float:
@@ -56,9 +63,8 @@ def conformable_power_derivative(beta_exp: float, alpha: float, t_shift: float) 
             finite or beta_exp <= m - 1, t_shift is negative or NaN, or
             t_shift = 0 with a negative result exponent.
     """
-    m = _check_exponent(beta_exp, alpha)
-    coefficient = gamma(beta_exp + 1.0) / gamma(beta_exp - m + 1.0)
-    return coefficient * _power(t_shift, beta_exp - alpha)
+    _, top_arg, _, conformable_arg = _gamma_arguments(beta_exp, alpha)
+    return gamma(top_arg) / gamma(conformable_arg) * _power(t_shift, beta_exp - alpha)
 
 
 def caputo_power_value(beta_exp: float, alpha: float, t_shift: float) -> float:
@@ -69,9 +75,8 @@ def caputo_power_value(beta_exp: float, alpha: float, t_shift: float) -> float:
     Raises:
         ValueError: as for `conformable_power_derivative`.
     """
-    _check_exponent(beta_exp, alpha)
-    coefficient = gamma(beta_exp + 1.0) / gamma(beta_exp - alpha + 1.0)
-    return coefficient * _power(t_shift, beta_exp - alpha)
+    _, top_arg, caputo_arg, _ = _gamma_arguments(beta_exp, alpha)
+    return gamma(top_arg) / gamma(caputo_arg) * _power(t_shift, beta_exp - alpha)
 
 
 def discrepancy_report(beta_exp: float, alpha: float) -> DiscrepancyReport:
@@ -85,10 +90,10 @@ def discrepancy_report(beta_exp: float, alpha: float) -> DiscrepancyReport:
     Raises:
         ValueError: as for `conformable_power_derivative`, t_shift aside.
     """
-    m = _check_exponent(beta_exp, alpha)
-    top = gamma(beta_exp + 1.0)
-    caputo_bottom = gamma(beta_exp - alpha + 1.0)
-    conformable_bottom = gamma(beta_exp - m + 1.0)
+    m, top_arg, caputo_arg, conformable_arg = _gamma_arguments(beta_exp, alpha)
+    top = gamma(top_arg)
+    caputo_bottom = gamma(caputo_arg)
+    conformable_bottom = gamma(conformable_arg)
     return DiscrepancyReport(
         alpha=alpha,
         beta_exp=beta_exp,

@@ -236,11 +236,12 @@ def evaluate_field(
     integer-order integrator (alpha = 1, where it is simply t - t0).
 
     Raises:
-        ValueError: if len(y) != field.dimension or the time value is negative.
+        ValueError: if len(y) != field.dimension or the time value is negative
+            or NaN.
     """
     if len(y) != field.dimension:
         raise ValueError(f"state has length {len(y)}, expected {field.dimension}")
-    if t_shifted_pow_alpha < 0.0:
+    if not t_shifted_pow_alpha >= 0.0:
         raise ValueError(f"time value must be non-negative, got {t_shifted_pow_alpha}")
     return field.plan.evaluate(t_shifted_pow_alpha, y)
 

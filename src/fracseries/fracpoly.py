@@ -224,32 +224,3 @@ def multiply_truncated(
                 out[k] += pi * qj
     return _from_floats(p.alpha, p.t0, tuple(out))
 
-
-def caputo_power_rule(beta_exp: float, alpha: float) -> tuple[float, float] | None:
-    """Caputo derivative of order alpha of the power (t - t0)^beta_exp.
-
-    Let m be the smallest integer >= alpha.  Returns None when beta_exp is a
-    non-negative integer below m (the derivative is identically zero);
-    otherwise returns the pair (coefficient, new_exponent) with
-
-        coefficient = Gamma(beta_exp + 1) / Gamma(beta_exp - alpha + 1)
-        new_exponent = beta_exp - alpha.
-
-    Raises:
-        ValueError: if alpha is not positive and finite, beta_exp is negative
-            or not finite, or beta_exp <= m - 1 for a non-integer beta_exp
-            (the Gamma argument would be non-positive).
-    """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"derivative order must be positive and finite, got {alpha}")
-    if not 0.0 <= beta_exp < math.inf:
-        raise ValueError(f"power exponent must be non-negative and finite, got {beta_exp}")
-    m = math.ceil(alpha)
-    if beta_exp == math.floor(beta_exp) and beta_exp < m:
-        return None
-    if not beta_exp > m - 1:
-        raise ValueError(
-            f"exponent {beta_exp} must exceed m - 1 = {m - 1} for order {alpha}"
-        )
-    coefficient = gamma(beta_exp + 1.0) / gamma(beta_exp - alpha + 1.0)
-    return coefficient, beta_exp - alpha

@@ -372,6 +372,14 @@ class TestConformable:
         rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
         assert float(rows["ratio"]) == pytest.approx(1.1283791670955126, rel=1e-12)
 
+    def test_tiny_beta(self, tmp_path: Path):
+        out = tmp_path / "report.csv"
+        cp = run_cli("conformable", "--beta", "1e-17", "--alpha", "0.5", "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+        rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        for name in ("caputo_coefficient", "conformable_coefficient", "ratio"):
+            assert math.isfinite(float(rows[name])), name
+
     def test_pole_is_domain_error(self, tmp_path: Path):
         out = tmp_path / "report.csv"
         cp = run_cli("conformable", "--beta", "0", "--alpha", "0.5", "--out", str(out))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -69,7 +70,12 @@ class TestCaputoPowerValue:
 
 class TestDiscrepancyReport:
     def test_integer_order_ratio_is_one(self):
-        assert discrepancy_report(2.0, 1.0).ratio == pytest.approx(1.0, abs=1e-13)
+        # At integer alpha the Caputo and conformable Gamma arguments are the
+        # same double, down to beta just above m - 1.
+        for m in (1, 2, 3):
+            lowest = 1e-17 if m == 1 else math.nextafter(m - 1, math.inf)
+            for beta_exp in (lowest, m - 1 + 1e-9, m - 0.5, float(m), m + 1.5):
+                assert discrepancy_report(beta_exp, float(m)).ratio == 1.0, beta_exp
 
     def test_half_order_linear_ratio(self):
         report = discrepancy_report(1.0, 0.5)
@@ -101,6 +107,7 @@ class TestDiscrepancyReport:
             (1.0, math.inf, "order must be positive and finite"),
             (math.nan, 0.5, "must be finite and exceed m - 1"),
             (math.inf, 0.5, "must be finite and exceed m - 1"),
+            (0.5, 1.5, "must be finite and exceed m - 1 = 1"),
         ],
     )
     @pytest.mark.parametrize(
@@ -112,7 +119,7 @@ class TestDiscrepancyReport:
         ],
         ids=["report", "caputo", "conformable"],
     )
-    def test_non_finite_inputs_rejected(self, call, beta_exp, alpha, message):
+    def test_out_of_domain_inputs_rejected(self, call, beta_exp, alpha, message):
         with pytest.raises(ValueError, match=message):
             call(beta_exp, alpha)
 
@@ -121,7 +128,51 @@ class TestDiscrepancyReport:
         real = conformable_module.gamma
         monkeypatch.setattr(conformable_module, "gamma", lambda x: args.append(x) or real(x))
         discrepancy_report(1.5, 0.7)
-        assert args == [2.5, 1.5 - 0.7 + 1.0, 1.5]
+        assert args == [2.5, 1.5 + (1.0 - 0.7), 1.5]
+
+
+def _mpmath_grid():
+    # Over 2,000 (beta, alpha) pairs: alpha in (0, 3] with 1 - 10^-k among
+    # them, beta from 1e-17 to 3 above m - 1 (or the next double above m - 1).
+    rng = random.Random(16)
+    alphas = [1.0 - 10.0**-k for k in range(1, 16)] + [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    alphas += [3.0 - rng.uniform(0.0, 3.0) for _ in range(120 - len(alphas))]
+    pairs = []
+    for alpha in alphas:
+        m = math.ceil(alpha)
+        for _ in range(20):
+            beta_exp = m - 1 + 10.0 ** rng.uniform(-17.0, math.log10(3.0))
+            pairs.append((max(beta_exp, math.nextafter(m - 1, math.inf)), alpha))
+    return pairs
+
+
+def test_coefficients_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for beta_exp, alpha in _mpmath_grid():
+        m = math.ceil(alpha)
+        with mpmath.workdps(40):
+            beta, order = mpmath.mpf(beta_exp), mpmath.mpf(alpha)
+            top = mpmath.gamma(beta + 1)
+            caputo_bottom = mpmath.gamma(beta - order + 1)
+            conformable_bottom = mpmath.gamma(beta - m + 1)
+            caputo = top / caputo_bottom
+            conformable = top / conformable_bottom
+            ratio = conformable_bottom / caputo_bottom
+        report = discrepancy_report(beta_exp, alpha)
+        # At t_shift = 1 the power is exactly 1, so the values are the coefficients.
+        for got, want in (
+            (report.caputo_coefficient, caputo),
+            (report.conformable_coefficient, conformable),
+            (report.ratio, ratio),
+            (caputo_power_value(beta_exp, alpha, 1.0), caputo),
+            (conformable_power_derivative(beta_exp, alpha, 1.0), conformable),
+        ):
+            assert abs(got - want) <= 2e-15 * abs(want), (beta_exp, alpha)
+
+
+def test_caputo_value_needs_no_conformable_gamma():
+    # Gamma(1e-310) overflows, but the Caputo value never asks for it.
+    assert caputo_power_value(1e-310, 0.5, 1.0) == 0.5641895835477563
 
 
 @pytest.mark.parametrize("alpha", [i / 10 for i in range(1, 11)])

@@ -112,8 +112,9 @@ class TestEvaluateField:
             evaluate_field(IDENTITY_1D, 0.0, (1.0, 2.0))
 
     def test_negative_time_value_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_field(IDENTITY_1D, -0.1, (1.0,))
+        for t_value in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="time value must be non-negative"):
+                evaluate_field(IDENTITY_1D, t_value, (1.0,))
 
     def test_bit_identical_to_monomial_walk(self):
         rng = random.Random(3)

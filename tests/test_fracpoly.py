@@ -13,7 +13,6 @@ from fracseries import (
     PolynomialVectorField,
     SeriesProblem,
     add_scaled,
-    caputo_power_rule,
     compose_series,
     gamma,
     multiply_truncated,
@@ -152,39 +151,6 @@ class TestMultiplyTruncated:
             for t in (0.0, 0.17, 0.6, 1.3):
                 want = p.evaluate(t) * q.evaluate(t)
                 assert prod.evaluate(t) == pytest.approx(want, rel=1e-12, abs=1e-13)
-
-
-class TestCaputoPowerRule:
-    def test_integer_below_order_is_annihilated(self):
-        assert caputo_power_rule(0.0, 0.5) is None
-
-    def test_classical_square(self):
-        coeff, exponent = caputo_power_rule(2.0, 1.0)
-        assert coeff == pytest.approx(2.0, rel=1e-13)
-        assert exponent == 1.0
-
-    def test_half_order_of_linear_power(self):
-        coeff, exponent = caputo_power_rule(1.0, 0.5)
-        assert coeff == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-12)
-        assert exponent == 0.5
-
-    def test_exponent_below_requirement_rejected(self):
-        with pytest.raises(ValueError):
-            caputo_power_rule(0.5, 1.5)  # m = 2, needs exponent > 1
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            caputo_power_rule(-0.5, 0.5)
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
-    def test_order_must_be_positive_and_finite(self, alpha):
-        with pytest.raises(ValueError, match="order must be positive and finite"):
-            caputo_power_rule(0.5, alpha)
-
-    @pytest.mark.parametrize("beta_exp", [math.nan, math.inf])
-    def test_exponent_must_be_finite(self, beta_exp):
-        with pytest.raises(ValueError, match="exponent must be non-negative and finite"):
-            caputo_power_rule(beta_exp, 0.5)
 
 
 class TestCaputoDerivative:

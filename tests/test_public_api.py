@@ -31,7 +31,6 @@ SURFACE = {
     "Trajectory": (["times", "states"], []),
     "add_scaled": ["p", "q", "a", "b"],
     "build_defect": ["field", "candidate", "max_degree"],
-    "caputo_power_rule": ["beta_exp", "alpha"],
     "caputo_power_value": ["beta_exp", "alpha", "t_shift"],
     "comparison_table": ["reference", "series", "component", "sample_times"],
     "compose_series": ["field", "y_series", "max_degree"],
