@@ -105,7 +105,9 @@ class TestDiscrepancyReport:
         [
             (0.5, math.nan, "order must be positive and finite"),
             (1.0, math.inf, "order must be positive and finite"),
+            (0.5, 0.0, "order must be positive and finite"),
             (math.nan, 0.5, "must be finite and exceed m - 1"),
+            (-0.5, 0.5, "must be finite and exceed m - 1 = 0"),
             (math.inf, 0.5, "must be finite and exceed m - 1"),
             (0.5, 1.5, "must be finite and exceed m - 1 = 1"),
         ],
