@@ -13,6 +13,7 @@ with no expansion of f itself required.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -236,13 +237,13 @@ def evaluate_field(
     integer-order integrator (alpha = 1, where it is simply t - t0).
 
     Raises:
-        ValueError: if len(y) != field.dimension or the time value is negative
-            or NaN.
+        ValueError: if len(y) != field.dimension or the time value is negative,
+            NaN or infinite.
     """
     if len(y) != field.dimension:
         raise ValueError(f"state has length {len(y)}, expected {field.dimension}")
-    if not t_shifted_pow_alpha >= 0.0:
-        raise ValueError(f"time value must be non-negative, got {t_shifted_pow_alpha}")
+    if not 0.0 <= t_shifted_pow_alpha < math.inf:
+        raise ValueError(f"time value must be non-negative and finite, got {t_shifted_pow_alpha}")
     return field.plan.evaluate(t_shifted_pow_alpha, y)
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import zip_longest
+from typing import Callable
 
 from .special import gamma
 
@@ -83,21 +84,22 @@ class FractionalPolynomial:
 
         (t - t0)^0 is taken as 1, including at t = t0, so the value at the
         expansion center is exactly the constant coefficient.  Fractional
-        powers of negative bases are rejected.
+        powers of negative bases are rejected.  The sum runs through the
+        Horner kernel `_horner(len(coeffs))`.
 
         Raises:
-            ValueError: if t < t0 or t is NaN.
+            ValueError: if t < t0, t is NaN, or t - t0 is infinite.
         """
         u = t - self.t0
-        if not u >= 0.0:
-            raise ValueError(f"evaluation point {t} is not at or after the center t0={self.t0}")
+        if not 0.0 <= u < math.inf:
+            raise ValueError(
+                f"evaluation point {t} is not at or after the center t0={self.t0}, "
+                "or t - t0 is not finite"
+            )
         if u == 0.0:
             return self.coeffs[0]
-        x = u**self.alpha
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        c = self.coeffs
+        return _horner(len(c))(c, u**self.alpha)
 
     def truncated(self, max_degree: int) -> "FractionalPolynomial":
         """Drop every term above grid index max_degree."""
@@ -180,6 +182,30 @@ def _from_floats(alpha: float, t0: float, coeffs: tuple[float, ...]) -> Fraction
     p = object.__new__(FractionalPolynomial)
     vars(p).update(alpha=alpha, t0=t0, coeffs=coeffs)
     return p
+
+
+@lru_cache(maxsize=64)
+def _horner(n: int) -> Callable[[tuple[float, ...], float], float]:
+    """`horner(c, x)`, the sum of c[i] * x**i over a tuple c of n floats,
+    compiled from `_horner_source(n)` on first use for each n.  No source is
+    kept, here or in `linecache`."""
+    scope: dict = {}
+    exec(compile("\n".join(_horner_source(n)), "<horner>", "exec"), {}, scope)
+    return scope["horner"]
+
+
+def _horner_source(n: int) -> list[str]:
+    """Lines of `horner(c, x)` for n coefficients: the Horner loop
+    `acc = 0.0`, then `acc = acc * x + c[i]` for i = n-1 down to 0, written
+    out with the same float operations in the same order, 64 steps per
+    statement."""
+    lines = ["def horner(c, x):", " acc = 0.0"]
+    for top in range(n - 1, -1, -64):  # bounds the depth the compiler recurses into
+        expr = "acc"
+        for i in range(top, max(top - 64, -1), -1):
+            expr = f"({expr} * x + c[{i}])"
+        lines.append(f" acc = {expr[1:-1]}")
+    return lines + [" return acc"]
 
 
 def add_scaled(

@@ -17,7 +17,6 @@ Unknown fields anywhere in the document are rejected.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -94,6 +93,8 @@ def parse_model_config(document: str) -> ModelSpec:
         ModelConfigError: naming the offending field or violated invariant;
             JSON syntax errors keep their line/column context.
     """
+    import json  # here, so the commands that read no config never import it
+
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:

@@ -110,9 +110,9 @@ def verify_defect_conditions(
 
     For each i = 1..degree, applies the Caputo derivative literally i-1 times
     to every defect component and takes the limit at t0+ (the constant term),
-    returning max over equations of the absolute limit value per index.  All
-    entries are ~0 for a correct solution; this is the independent oracle for
-    the recursion in `solve`.
+    returning max over equations of the absolute limit value per index (NaN
+    when any equation's limit is NaN).  All entries are ~0 for a correct
+    solution; this is the independent oracle for the recursion in `solve`.
 
     Each component's derivatives form one chain, walked once: the k-th
     polynomial on it is the one `sequential_caputo_limit(k)` builds, so the
@@ -123,8 +123,20 @@ def verify_defect_conditions(
     if n == 0:
         return []
     defect = build_defect(problem.field, list(solution.series), n - 1)
-    out = [max(abs(d.coeffs[0]) for d in defect)]
+    out = [_largest_limit(defect)]
     for _ in range(n - 1):
         defect = [d.caputo_derivative() for d in defect]
-        out.append(max(abs(d.coeffs[0]) for d in defect))
+        out.append(_largest_limit(defect))
     return out
+
+
+def _largest_limit(defect: list[FractionalPolynomial]) -> float:
+    """max over the components of |limit at t0+|, NaN if any limit is NaN.
+
+    `max` alone drops a NaN that is not first, since every comparison with
+    NaN is false.  The limits are non-negative, so their sum is NaN exactly
+    when one of them is.
+    """
+    limits = [abs(d.coeffs[0]) for d in defect]
+    total = sum(limits)
+    return total if total != total else max(limits)

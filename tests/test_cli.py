@@ -37,6 +37,16 @@ def test_missing_command_is_usage_error():
     assert run_cli().returncode == 2
 
 
+def test_import_loads_no_json():
+    # Only parse_model_config reads JSON; the commands that read no config
+    # should not pay for the import.  -S keeps site hooks out of the count.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, fracseries.cli; print(sorted(m for m in sys.modules if 'json' in m))"
+    cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                        env={**os.environ, "PYTHONPATH": src})
+    assert (cp.returncode, cp.stdout) == (0, "[]\n"), cp.stderr
+
+
 def test_option_strings_per_command():
     # A flag added to or dropped from any command shows up as a diff here.
     sub = next(a for a in cli._build_parser()._actions

@@ -112,7 +112,7 @@ class TestEvaluateField:
             evaluate_field(IDENTITY_1D, 0.0, (1.0, 2.0))
 
     def test_negative_time_value_rejected(self):
-        for t_value in (-0.1, math.nan):
+        for t_value in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="time value must be non-negative"):
                 evaluate_field(IDENTITY_1D, t_value, (1.0,))
 

@@ -1,7 +1,9 @@
 import dataclasses
+import linecache
 import math
 import pickle
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from fracseries import (
     multiply_truncated,
     solve,
 )
+from fracseries.fracpoly import _horner
 
 from sir_reference import I_COEFFS_DEG9, S_COEFFS_DEG9
 
@@ -84,6 +87,16 @@ class TestEvaluate:
         # NaN compares False with everything, so only `not u >= 0.0` rejects it.
         with pytest.raises(ValueError, match="not at or after the center"):
             fp(0.5, 0.0, 1.0, 2.0).evaluate(math.nan)
+
+    def test_infinite_point_rejected(self):
+        # 0.0 * inf would start the sum with NaN.
+        with pytest.raises(ValueError, match="t - t0 is not finite"):
+            fp(0.5, 0.0, 1.0, 2.0).evaluate(math.inf)
+
+    def test_overflowing_distance_rejected(self):
+        # Both ends are finite, but t - t0 rounds to inf.
+        with pytest.raises(ValueError, match="t - t0 is not finite"):
+            fp(1.0, -1.5e308, 1.0, 2.0).evaluate(1.5e308)
 
     def test_fractional_power_evaluation(self):
         p = fp(0.5, 0.0, 0.0, 3.0)  # 3 * t^0.5
@@ -349,6 +362,60 @@ class TestLoopsMatchReference:
         for zero in (0.0, -0.0):
             got = multiply_truncated(fp(1.0, 0.0, zero, 2.0), fp(1.0, 0.0, math.inf, 1.0), 2)
             assert _bits(got.coeffs) == _bits((0.0, math.inf, 2.0))
+
+
+def _horner_loop(c, x):
+    """Reference Horner loop: the float operations, in order, that
+    `_horner(len(c))(c, x)` must repeat."""
+    acc = 0.0
+    for ci in reversed(c):
+        acc = acc * x + ci
+    return acc
+
+
+class TestHornerKernel:
+    def test_bit_identical_to_loop(self):
+        # Lengths cross the 64-step statement bound three times.  float.hex prints
+        # every NaN as 'nan', so NaN compares as NaN whatever its sign bit.
+        rng = random.Random(31)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.7e308]
+        xs = (0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.0, 1.7, 1e12, 1e300, math.inf)
+        for n in range(1, 201):
+            pools = ([rng.uniform(-2.0, 2.0) for _ in range(n)],
+                     [rng.choice(special) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
+                      for _ in range(n)])
+            for c in map(tuple, pools):
+                kernel = _horner(n)
+                assert _bits(kernel(c, x) for x in xs) == _bits(_horner_loop(c, x) for x in xs)
+
+    def test_evaluate_bit_identical_to_loop(self):
+        for p in _random_polys(32):
+            for t in (p.t0 + 1e-15, p.t0 + 0.4, p.t0 + 1.0, p.t0 + 3.0, p.t0 + 1e200):
+                want = _horner_loop(p.coeffs, (t - p.t0) ** p.alpha)
+                assert _bits([p.evaluate(t)]) == _bits([want])
+
+    def test_one_kernel_per_length(self):
+        p, q = fp(0.5, 0.0, *range(137)), fp(0.25, 1.0, *[2.0] * 137)
+        before = _horner.cache_info()
+        p.evaluate(0.5), q.evaluate(1.5)
+        after = _horner.cache_info()
+        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
+        assert _horner(137) is _horner(137)
+
+    def test_cache_is_bounded(self):
+        maxsize = _horner.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+        for n in range(1, maxsize + 11):
+            fp(1.0, 0.0, *[1.0] * n).evaluate(0.5)
+        assert _horner.cache_info().currsize == maxsize
+
+    def test_no_kernel_source_is_kept(self):
+        with pytest.raises(IndexError) as info:
+            _horner(3)((1.0,), 2.0)
+        frame = traceback.extract_tb(info.tb)[-1]
+        assert (frame.filename, frame.name) == ("<horner>", "horner")
+        traceback.format_exception(info.type, info.value, info.tb)  # reads linecache
+        assert not [key for key in linecache.cache if "horner" in key]
 
 
 def _assert_like_validated(r):

@@ -1,6 +1,6 @@
-"""The source each `FieldPlan` writer emits, compared verbatim with the files
-under tests/golden/, so a change to a generator shows in review as a diff of
-the code that runs."""
+"""The source each `FieldPlan` writer and the Horner kernel writer emit,
+compared verbatim with the files under tests/golden/, so a change to a
+generator shows in review as a diff of the code that runs."""
 
 from pathlib import Path
 
@@ -8,6 +8,7 @@ import pytest
 
 from fracseries import Monomial, PolynomialVectorField, sir_field
 from fracseries.field import _GENERATED
+from fracseries.fracpoly import _horner_source
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,5 +34,18 @@ def test_source_matches_golden_file(key, name):
                f"print(*{field!r}.plan.{name}_source(), sep='\\n')\" > tests/golden/{path.name}")
     assert path.is_file() and path.read_text() == source, (
         f"{path} is not what {name}_source() emits; if the change is meant, "
+        f"regenerate it from the repository root with\n{command}"
+    )
+
+
+# 65 coefficients take one full 64-step statement and one of a single step.
+@pytest.mark.parametrize("n", (3, 65))
+def test_horner_source_matches_golden_file(n):
+    path = GOLDEN / f"horner.{n}.py"
+    source = "\n".join(_horner_source(n)) + "\n"
+    command = (f"PYTHONPATH=src python -c \"from fracseries.fracpoly import _horner_source; "
+               f"print(*_horner_source({n}), sep='\\n')\" > tests/golden/{path.name}")
+    assert path.is_file() and path.read_text() == source, (
+        f"{path} is not what _horner_source({n}) emits; if the change is meant, "
         f"regenerate it from the repository root with\n{command}"
     )

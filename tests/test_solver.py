@@ -185,6 +185,18 @@ class TestVerifyDefectConditions:
         assert len(values) == 9
         assert max(values) <= 1e-9
 
+    def test_nan_limit_is_not_dropped(self):
+        # b's series overflows to inf from index 1, so every limit of b's
+        # defect is NaN while a's are 0.0, and a comes first.
+        field = PolynomialVectorField(
+            equations=((Monomial(-1.0, (1, 0)),),
+                       (Monomial(1e300, (0, 1)), Monomial(1e300, (0, 2)))),
+            variable_names=("a", "b"),
+        )
+        problem = SeriesProblem(field=field, y0=(1.0, 1e10), alpha=1.0, t0=0.0, degree=6)
+        values = verify_defect_conditions(solve(problem), problem)
+        assert len(values) == 6 and all(math.isnan(v) for v in values)
+
     def test_perturbed_coefficient_is_detected(self, sir_spec, sir_solution_deg9):
         problem = SeriesProblem(
             field=sir_spec.field(), y0=INITIAL, alpha=1.0, t0=0.0, degree=9
