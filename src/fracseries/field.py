@@ -273,6 +273,8 @@ def compose_series(
         )
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    if not y_series:
+        return []
     alpha = y_series[0].alpha
     t0 = y_series[0].t0
     # (k, j) names products[k] times y_j: a key stands for a whole chain of

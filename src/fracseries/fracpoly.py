@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, Sequence
 
 from .special import gamma
 
@@ -109,36 +109,16 @@ class FractionalPolynomial:
             return self
         return _from_floats(self.alpha, self.t0, self.coeffs[: max_degree + 1])
 
-    @cached_property
-    def _gamma_table(self) -> list[float]:
-        """Gamma(i*alpha + 1) for at least every stored grid index i.
-
-        Built on first use with exactly one entry per stored index; a Caputo
-        derivative shares its parent's list, which is one entry or more
-        longer.  Not a dataclass field, so equality, hashing and repr ignore
-        it.
-        """
-        a = self.alpha
-        return [gamma(i * a + 1.0) for i in range(len(self.coeffs))]
-
     def caputo_derivative(self) -> "FractionalPolynomial":
         """Caputo derivative of order alpha (the grid order), applied term-wise.
 
         The constant term is annihilated; term i >= 1 maps to grid slot i - 1
         with coefficient c_i * Gamma(i*alpha + 1) / Gamma((i-1)*alpha + 1).
-        The result of differentiating a constant is the zero constant.
-
-        The Gamma values come from this polynomial's table, and the result
-        shares that table (uncopied), so a chain of n derivatives computes
-        each Gamma value once instead of once per link.
+        The result of differentiating a constant is the zero constant.  Each
+        call builds its own Gamma table; nothing is cached on the polynomial.
         """
-        if len(self.coeffs) == 1:
-            return _from_floats(self.alpha, self.t0, (0.0,))
-        c, g = self.coeffs, self._gamma_table
-        new = tuple([ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)])
-        out = _from_floats(self.alpha, self.t0, new)
-        vars(out)["_gamma_table"] = g
-        return out
+        a = self.alpha
+        return _caputo_step(self, [gamma(i * a + 1.0) for i in range(len(self.coeffs))])
 
     def rl_integral(self) -> "FractionalPolynomial":
         """Riemann-Liouville integral of order alpha, applied term-wise.
@@ -182,6 +162,14 @@ def _from_floats(alpha: float, t0: float, coeffs: tuple[float, ...]) -> Fraction
     p = object.__new__(FractionalPolynomial)
     vars(p).update(alpha=alpha, t0=t0, coeffs=coeffs)
     return p
+
+
+def _caputo_step(p: FractionalPolynomial, g: Sequence[float]) -> FractionalPolynomial:
+    """`p.caputo_derivative()` from g[i] = Gamma(i*alpha + 1), given for at
+    least every stored index of p: the one place the step is written."""
+    c = p.coeffs
+    new = tuple([ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)]) or (0.0,)
+    return _from_floats(p.alpha, p.t0, new)
 
 
 @lru_cache(maxsize=64)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from .fracpoly import FractionalPolynomial
@@ -36,8 +37,10 @@ def comparison_table(
     failing; no supported comparison produces such a row.
 
     Raises:
-        ValueError: if a sample time is missing from the trajectory grid.
+        ValueError: if component is outside series or a sample time is off the grid.
     """
+    if not 0 <= component < len(series):
+        raise ValueError(f"component {component} is outside the {len(series)} series")
     rows = []
     for t in sample_times:
         idx = _grid_index(reference.times, t)
@@ -50,7 +53,9 @@ def comparison_table(
 
 
 def _grid_index(times: tuple[float, ...], t: float) -> int:
-    for i, ti in enumerate(times):
-        if abs(ti - t) <= _GRID_TOLERANCE:
-            return i
+    # times[i] - t never decreases (times increase strictly and subtraction
+    # is monotone), so the first i at or above -tol is the first match if any.
+    i = bisect_left(times, -_GRID_TOLERANCE, key=lambda ti: ti - t)
+    if i < len(times) and abs(times[i] - t) <= _GRID_TOLERANCE:
+        return i
     raise ValueError(f"sample time {t} is not on the trajectory grid")

@@ -26,7 +26,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if not all(a < b for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
 
 
@@ -44,17 +44,17 @@ def rk4_integrate(
     t_end - t0 to within 1e-12 so the grid lands exactly on t_end.
 
     Raises:
-        ValueError: for a non-finite t0, t_end, h or step count, non-positive
-            h or record_every, t_end <= t0, or a step that does not divide
-            the interval.
+        ValueError: for a non-finite t0, t_end, h or step count, a
+            non-positive h, a record_every that is not a positive int,
+            t_end <= t0, or a step that does not divide the interval.
     """
     for name, value in (("t0", t0), ("t_end", t_end), ("h", h)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
-    if record_every <= 0:
-        raise ValueError(f"record_every must be positive, got {record_every}")
+    if type(record_every) is not int or record_every <= 0:
+        raise ValueError(f"record_every must be a positive int, got {record_every!r}")
     if t_end <= t0:
         raise ValueError(f"t_end={t_end} must exceed t0={t0}")
     span = t_end - t0

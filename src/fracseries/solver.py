@@ -13,21 +13,18 @@ conditions into an explicit linear step:
              * (slot i-1 coefficient of f(t, P) for equation j).
 
 `solve` runs this recursion in O(n^2) through a function generated once per
-field (`FieldPlan.recurrence` on `PolynomialVectorField.plan`, written by
-`FieldPlan.recurrence_source()`): one loop over i in which each chain of
+field (`FieldPlan.recurrence`): one loop over i in which each chain of
 partial products appends grid slot i-1 to its own float list, then every
-equation sums its terms in the order `compose_series` sums them, so the
-coefficients are bit-identical to recomposing the whole field at every step.
-`solve` stops there and builds no defect.  `build_defect` and
-`verify_defect_conditions` stay on the literal path (`compose_series`, then
-repeated Caputo derivatives), with no shortcut shared with `solve`.  The
-oracle walks one derivative chain per defect component and reads every limit
-off it on the way, so it too costs O(n^2) arithmetic rather than O(n^3).
-Each chain computes its Gamma values once (every derivative shares its
-parent's table), so a degree-n check makes O(n) `gamma` calls per component.
-The composition builds each chain's product once per call, at full degree.
-Every polynomial on these paths, like the series `solve` returns, is built
-from floats the library computed, without re-validation.
+equation sums its terms in `compose_series`'s order, so the coefficients are
+bit-identical to recomposing the whole field at every step.  `solve` builds
+no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
+path (`compose_series`, then repeated Caputo derivatives) and share no
+shortcut with `solve`.  The oracle walks one derivative chain per defect
+component, reading every limit on the way, in O(n^2) arithmetic.  One Gamma
+table per call serves every chain, so a check makes dim*(n + 1) + n `gamma`
+calls (n + 1 per series for its derivative in the defect) and caches
+nothing on a polynomial.  Polynomials on these paths are built from floats
+the library computed, without re-validation.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .field import PolynomialVectorField, compose_series
-from .fracpoly import FractionalPolynomial, _from_floats, add_scaled
+from .fracpoly import FractionalPolynomial, _caputo_step, _from_floats, add_scaled
 from .special import gamma
 
 
@@ -79,11 +76,8 @@ def build_defect(
 ) -> list[FractionalPolynomial]:
     """Defect D^alpha P - f(t, P) per equation, truncated at max_degree."""
     composed = compose_series(field, candidate, max_degree)
-    out = []
-    for p, fp in zip(candidate, composed):
-        d = add_scaled(p.caputo_derivative(), fp, 1.0, -1.0)
-        out.append(d.truncated(max_degree))
-    return out
+    return [add_scaled(p.caputo_derivative(), fp, 1.0, -1.0).truncated(max_degree)
+            for p, fp in zip(candidate, composed)]
 
 
 def solve(problem: SeriesProblem) -> SeriesSolution:
@@ -111,21 +105,30 @@ def verify_defect_conditions(
     For each i = 1..degree, applies the Caputo derivative literally i-1 times
     to every defect component and takes the limit at t0+ (the constant term),
     returning max over equations of the absolute limit value per index (NaN
-    when any equation's limit is NaN).  All entries are ~0 for a correct
-    solution; this is the independent oracle for the recursion in `solve`.
+    when any equation's limit is NaN, 0.0 when there is no equation).  All
+    entries are ~0 for a correct solution; this is the independent oracle
+    for the recursion in `solve`.
 
-    Each component's derivatives form one chain, walked once: the k-th
-    polynomial on it is the one `sequential_caputo_limit(k)` builds, so the
-    result is bit-identical to a per-index rebuild at O(n^2) instead of
-    O(n^3) cost.
+    Each component's derivatives form one chain, walked once, with one Gamma
+    table for the problem's alpha: the k-th polynomial on a chain is the one
+    `sequential_caputo_limit(k)` builds, so the result is bit-identical to a
+    per-index rebuild at O(n^2) instead of O(n^3) cost.
+
+    Raises:
+        ValueError: if a series' alpha or t0 differs from the problem's.
     """
-    n = problem.degree
+    n, a = problem.degree, problem.alpha
+    for s in solution.series:
+        if (s.alpha, s.t0) != (a, problem.t0):
+            raise ValueError(f"series grid (alpha={s.alpha}, t0={s.t0}) differs from "
+                             f"the problem's (alpha={a}, t0={problem.t0})")
     if n == 0:
         return []
     defect = build_defect(problem.field, list(solution.series), n - 1)
+    g = [gamma(i * a + 1.0) for i in range(n)]
     out = [_largest_limit(defect)]
     for _ in range(n - 1):
-        defect = [d.caputo_derivative() for d in defect]
+        defect = [_caputo_step(d, g) for d in defect]
         out.append(_largest_limit(defect))
     return out
 
@@ -139,4 +142,4 @@ def _largest_limit(defect: list[FractionalPolynomial]) -> float:
     """
     limits = [abs(d.coeffs[0]) for d in defect]
     total = sum(limits)
-    return total if total != total else max(limits)
+    return total if total != total else max(limits, default=0.0)

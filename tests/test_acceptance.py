@@ -7,6 +7,7 @@ log and the pytest summary.
 
 import csv
 import math
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import fracseries
 from fracseries import (
     FractionalPolynomial,
     Monomial,
@@ -47,6 +49,7 @@ def test_criterion_01_degree9_coefficients_via_cli(tmp_path: Path):
          "--alpha", "1", "--degree", "9", "--t-end", "1", "--samples", "10",
          "--out-dir", str(tmp_path)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(fracseries.__file__).resolve().parent.parent)},
     )
     elapsed = time.perf_counter() - started
     assert cp.returncode == 0, cp.stderr

@@ -15,11 +15,13 @@ from sir_reference import ABS_ERROR_AT_1, COEFFS_DEG9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_SIR = REPO_ROOT / "sir.json"
+# Children import the fracseries under test, not another copy on the path.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "fracseries", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, env=CHILD_ENV)
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -40,10 +42,9 @@ def test_missing_command_is_usage_error():
 def test_import_loads_no_json():
     # Only parse_model_config reads JSON; the commands that read no config
     # should not pay for the import.  -S keeps site hooks out of the count.
-    src = str(Path(cli.__file__).resolve().parent.parent)
     code = "import sys, fracseries.cli; print(sorted(m for m in sys.modules if 'json' in m))"
     cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                        env={**os.environ, "PYTHONPATH": src})
+                        env=CHILD_ENV)
     assert (cp.returncode, cp.stdout) == (0, "[]\n"), cp.stderr
 
 

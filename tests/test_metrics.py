@@ -4,10 +4,13 @@ import pytest
 
 from fracseries import (
     FractionalPolynomial,
+    PolynomialVectorField,
     Trajectory,
     comparison_table,
     default_sample_times,
+    rk4_integrate,
 )
+from fracseries.metrics import _grid_index
 
 from sir_reference import ABS_ERROR_AT_1, COEFFS_DEG9, TABLES
 
@@ -73,6 +76,43 @@ def test_error_product_identity_and_sign():
 def test_missing_sample_time_rejected():
     with pytest.raises(ValueError):
         comparison_table(_published_trajectory(), _published_series(), 0, [0.55])
+
+
+@pytest.mark.parametrize("component", [-1, 3, 4])
+def test_component_outside_the_series_rejected(component):
+    # -1 once read the last component.
+    with pytest.raises(ValueError, match=rf"^component {component} is outside the 3 series$"):
+        comparison_table(_published_trajectory(), _published_series(), component, [0.1])
+
+
+def _grid_index_by_scan(times, t):
+    """`_grid_index` as first written: the first match from the start."""
+    for i, ti in enumerate(times):
+        if abs(ti - t) <= 1e-12:
+            return i
+    return None
+
+
+def test_grid_index_bisection_matches_linear_scan():
+    field = PolynomialVectorField(equations=((),), variable_names=("y",))
+    grids = [
+        rk4_integrate(field, (1.0,), 0.0, 1.0, 0.01, 1).times,
+        rk4_integrate(field, (1.0,), -3.0, 2.0, 1e-3, 7).times,
+        (0.0, 1e-12, 2e-12, 3e-12, 1.0),  # several candidates within the tolerance
+        (5.0,),
+    ]
+    for times in grids:
+        samples = [math.nan, math.inf, -math.inf, times[0] - 1.0, times[-1] + 1.0]
+        for ti in times[:50] + times[-50:]:
+            for d in (0.0, 1e-12, -1e-12, 1.0000001e-12, -1.0000001e-12, 5e-13):
+                samples.append(ti + d)
+        for t in samples:
+            want = _grid_index_by_scan(times, t)
+            if want is None:
+                with pytest.raises(ValueError, match="is not on the trajectory grid"):
+                    _grid_index(times, t)
+            else:
+                assert _grid_index(times, t) == want
 
 
 def test_zero_reference_reports_nan_relative_error():

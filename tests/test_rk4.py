@@ -106,11 +106,20 @@ def test_nonpositive_record_every_rejected():
         rk4_integrate(EXP_FIELD, (1.0,), 0.0, 1.0, 0.1, 0)
 
 
+# 1.5 once recorded t = 0, 0.3, 0.6, 0.9 with h = 0.1.
+@pytest.mark.parametrize("record_every", [1.5, 2.0, True, "2"])
+def test_record_every_must_be_an_int(record_every):
+    with pytest.raises(ValueError, match=r"^record_every must be a positive int, got "):
+        rk4_integrate(EXP_FIELD, (1.0,), 0.0, 1.0, 0.1, record_every)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(times=(0.0, 1.0), states=((1.0,),))
     with pytest.raises(ValueError):
         Trajectory(times=(0.0, 0.0), states=((1.0,), (1.0,)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(times=(0.0, math.nan, 1.0), states=((1.0,),) * 3)
 
 
 def test_sir_decreasing_susceptibles(sir_rk_trajectory):

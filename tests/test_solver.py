@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import importlib
 import math
+import pickle
 import random
 
 import pytest
@@ -613,15 +614,14 @@ def test_perturbed_series_oracle_bit_identical_to_per_index_limits(sir_spec, alp
 
 
 def test_oracle_gamma_calls_are_linear(sir_spec, monkeypatch):
-    # One Gamma table per series (its derivative in `build_defect`) and one
-    # per defect chain, each derivative inheriting a prefix of its parent's
-    # table. A table per derivative made about n/4 times as many calls.
+    # One table of n + 1 entries per series (its derivative in
+    # `build_defect`) and one of n entries that every defect chain reads.
+    # Nothing is cached on a polynomial, so a repeated call costs the same.
     import fracseries.fracpoly
+    import fracseries.solver
 
     n = 40
-    problem = SeriesProblem(
-        field=sir_spec.field(), y0=INITIAL, alpha=0.5, t0=0.0, degree=n
-    )
+    problem = _sir_problem(sir_spec, 0.5, n)
     solution = solve(problem)
     calls = []
 
@@ -630,15 +630,71 @@ def test_oracle_gamma_calls_are_linear(sir_spec, monkeypatch):
         return gamma(x)
 
     monkeypatch.setattr(fracseries.fracpoly, "gamma", counting_gamma)
-    verify_defect_conditions(solution, problem)
+    monkeypatch.setattr(fracseries.solver, "gamma", counting_gamma)
     dim = problem.field.dimension
-    assert 0 < len(calls) <= 2 * dim * (n + 1)
+    for _ in range(2):
+        calls.clear()
+        verify_defect_conditions(solution, problem)
+        assert len(calls) == dim * (n + 1) + n
+
+
+def test_library_results_hold_only_their_fields(sir_spec, monkeypatch):
+    # Derivative chains, the defect, the solution and every polynomial on the
+    # oracle's chains carry alpha, t0 and coeffs and nothing else, also after
+    # being differentiated, so each equals, hashes and pickles as a fresh
+    # construction does.
+    import fracseries.solver
+
+    n = 12
+    problem = _sir_problem(sir_spec, 0.75, n)
+    solution = solve(problem)
+    chain = [solution.series[0]]
+    for _ in range(n):
+        chain.append(chain[-1].caputo_derivative())
+    steps = []
+    step = fracseries.solver._caputo_step
+    monkeypatch.setattr(fracseries.solver, "_caputo_step",
+                        lambda *args: steps.append(step(*args)) or steps[-1])
+    verify_defect_conditions(solution, problem)
+    assert len(steps) == 3 * (n - 1)
+    defect = build_defect(problem.field, solution.series, n - 1)
+    for p in (*solution.series, *chain, *defect, *steps):
+        assert set(vars(p)) == {"alpha", "t0", "coeffs"}
+        fresh = FractionalPolynomial(p.alpha, p.t0, p.coeffs)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert dataclasses.replace(p) == fresh
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == fresh and vars(copy) == vars(fresh)
+
+
+def test_oracle_rejects_series_on_another_grid(sir_spec):
+    # An alpha-1 solution read on the alpha-0.5 grid once passed with limits
+    # of at most 2.2e-16.
+    at_one = solve(_sir_problem(sir_spec, 1.0, 9))
+    with pytest.raises(ValueError, match=r"^series grid \(alpha=1\.0, t0=0\.0\) differs "
+                                         r"from the problem's \(alpha=0\.5, t0=0\.0\)$"):
+        verify_defect_conditions(at_one, _sir_problem(sir_spec, 0.5, 9))
+    shifted = SeriesProblem(field=sir_spec.field(), y0=INITIAL, alpha=1.0, t0=1.0, degree=9)
+    for degree in (0, 9):
+        with pytest.raises(ValueError, match=r"\(alpha=1\.0, t0=1\.0\)$"):
+            verify_defect_conditions(at_one, dataclasses.replace(shifted, degree=degree))
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_empty_system_has_no_defect(degree):
+    field = PolynomialVectorField(equations=(), variable_names=())
+    problem = SeriesProblem(field=field, y0=(), alpha=0.5, t0=0.0, degree=degree)
+    solution = solve(problem)
+    assert solution.series == ()
+    assert compose_series(field, (), degree) == []
+    assert build_defect(field, (), degree) == []
+    assert verify_defect_conditions(solution, problem) == [0.0] * degree
 
 
 def test_oracle_builds_no_validated_polynomial_and_shares_work(sir_spec, monkeypatch):
     # On SIR at degree 40: library results skip the constructor's checks, the
     # composition builds 1*S, S*I and 1*I once each (S*I serves two
-    # equations), and a Caputo derivative shares its parent's Gamma table.
+    # equations).
     import fracseries.field
 
     n = 40
@@ -656,9 +712,6 @@ def test_oracle_builds_no_validated_polynomial_and_shares_work(sir_spec, monkeyp
                         lambda *args: products.append(args) or multiply(*args))
     compose_series(problem.field, solution.series, n - 1)
     assert len(products) == 3
-
-    p = solution.series[0]
-    assert p.caputo_derivative()._gamma_table is p._gamma_table
 
 
 # Gamma(172) is the first integer Gamma value beyond the largest double, so
