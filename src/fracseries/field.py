@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .fracpoly import FractionalPolynomial, _from_floats, add_scaled, multiply_truncated
+from .fracpoly import (FractionalPolynomial, _check_degree, _check_same_grid, _from_floats,
+                       add_scaled, multiply_truncated)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class FieldPlan:
                 self.terms[-1].append((m.coeff, m.time_power, node, factors))
 
     @cached_property
-    def recurrence(self) -> Callable[[int, Sequence[float], Sequence[float]], list[list[float]]]:
+    def recurrence(self) -> Callable[[Sequence[float], Sequence[float]], list[list[float]]]:
         """`solve`'s coefficient lists, from `recurrence_source`."""
         return self._compile("recurrence")
 
@@ -144,8 +145,8 @@ class FieldPlan:
         return scope[name]
 
     def recurrence_source(self) -> list[str]:
-        """Lines of `recurrence(n, y0, g)`: `solve`'s coefficient lists for
-        degree n.
+        """Lines of `recurrence(init, g)`: `solve`'s coefficient lists, each
+        starting from its initial value in `init`, for degree len(g) - 1.
 
         With g[i] = Gamma(i*alpha + 1), step i appends g[i-1]/g[i] times slot
         i-1 of f(t, P) to each list, in one loop over i that serves every
@@ -155,12 +156,11 @@ class FieldPlan:
         equation sums its terms from 0.0 in order, as `compose_series` does.
         """
         dim = range(len(self.terms))
-        # Descending, so the argument y0 is read before the list y0 rebinds it.
-        lines = ["def recurrence(n, y0, g):", *[f" y{j} = [y0[{j}]]" for j in reversed(dim)]]
+        lines = ["def recurrence(init, g):", *[f" y{j} = [init[{j}]]" for j in dim]]
         # A child of node 0 (the constant 1) is y_j itself and keeps no list.
         name = [f"y{j}" if parent == 0 else f"s{k}" for k, (parent, j) in enumerate(self.nodes)]
         lines += [f" {s} = []" for s in name[1:] if s[0] == "s"]
-        lines += [" for i in range(1, n + 1):", "  ratio = g[i - 1] / g[i]"]
+        lines += [" for i in range(1, len(g)):", "  ratio = g[i - 1] / g[i]"]
         for k, (parent, j) in enumerate(self.nodes[1:], 1):
             if parent != 0:
                 lines += ["  acc = 0.0", f"  for left, right in zip({name[parent]}, reversed(y{j})):",
@@ -264,19 +264,19 @@ def compose_series(
     contribution lives below max_degree).
 
     Raises:
-        ValueError: on dimension mismatch.
+        ValueError: on dimension mismatch, or if max_degree is not an int >= 0.
         GridMismatchError: if the input series do not share alpha and t0.
     """
     if len(y_series) != field.dimension:
         raise ValueError(
             f"{len(y_series)} series for a field of dimension {field.dimension}"
         )
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    _check_degree(max_degree, "max_degree")
     if not y_series:
         return []
-    alpha = y_series[0].alpha
-    t0 = y_series[0].t0
+    for s in y_series[1:]:
+        _check_same_grid(y_series[0], s)
+    alpha, t0 = y_series[0].alpha, y_series[0].t0
     # (k, j) names products[k] times y_j: a key stands for a whole chain of
     # factors without hashing the chain itself.
     products = [_from_floats(alpha, t0, (1.0,))]

@@ -33,6 +33,20 @@ class GridMismatchError(ValueError):
     """Raised when two polynomials do not share the same alpha and t0 grid."""
 
 
+def _check_grid(alpha: float, t0: float) -> None:
+    """The one rule for a grid: 0 < alpha <= 1 and a finite t0."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+
+
+def _check_degree(n: object, name: str) -> None:
+    """The one rule for a degree or truncation index: an int (not a bool) >= 0."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {n!r}")
+
+
 def _check_same_grid(p: "FractionalPolynomial", q: "FractionalPolynomial") -> None:
     if p.alpha != q.alpha or p.t0 != q.t0:
         raise GridMismatchError(
@@ -60,10 +74,7 @@ class FractionalPolynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
+        _check_grid(self.alpha, self.t0)
         coeffs = tuple(map(float, self.coeffs))
         if not coeffs:
             raise ValueError("a polynomial needs at least the constant coefficient")
@@ -103,8 +114,7 @@ class FractionalPolynomial:
 
     def truncated(self, max_degree: int) -> "FractionalPolynomial":
         """Drop every term above grid index max_degree."""
-        if max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+        _check_degree(max_degree, "max_degree")
         if max_degree >= self.degree:
             return self
         return _from_floats(self.alpha, self.t0, self.coeffs[: max_degree + 1])
@@ -224,11 +234,10 @@ def multiply_truncated(
 
     Raises:
         GridMismatchError: if alpha or t0 differ.
-        ValueError: if max_degree < 0.
+        ValueError: if max_degree is not an int >= 0.
     """
     _check_same_grid(p, q)
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    _check_degree(max_degree, "max_degree")
     top = min(max_degree, p.degree + q.degree)
     out = [0.0] * (top + 1)
     qc = q.coeffs

@@ -37,10 +37,15 @@ def comparison_table(
     failing; no supported comparison produces such a row.
 
     Raises:
-        ValueError: if component is outside series or a sample time is off the grid.
+        ValueError: if component is not an int index into series, the
+            trajectory's states are narrower than series, or a sample time
+            is off the grid.
     """
-    if not 0 <= component < len(series):
-        raise ValueError(f"component {component} is outside the {len(series)} series")
+    if type(component) is not int or not 0 <= component < len(series):
+        raise ValueError(f"component {component!r} is outside the {len(series)} series")
+    if reference.states and len(reference.states[0]) < len(series):
+        raise ValueError(f"trajectory states have {len(reference.states[0])} components, "
+                         f"fewer than the {len(series)} series")
     rows = []
     for t in sample_times:
         idx = _grid_index(reference.times, t)

@@ -18,7 +18,7 @@ from .field import PolynomialVectorField, evaluate_field
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States recorded on a uniform time grid."""
+    """States of one width, recorded on a uniform time grid."""
 
     times: tuple[float, ...]
     states: tuple[tuple[float, ...], ...]
@@ -28,6 +28,8 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
         if not all(a < b for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
+        if len(set(map(len, self.states))) > 1:
+            raise ValueError("states must all have the same width")
 
 
 def rk4_integrate(

@@ -13,9 +13,10 @@ conditions into an explicit linear step:
              * (slot i-1 coefficient of f(t, P) for equation j).
 
 `solve` runs this recursion in O(n^2) through a function generated once per
-field (`FieldPlan.recurrence`): one loop over i in which each chain of
-partial products appends grid slot i-1 to its own float list, then every
-equation sums its terms in `compose_series`'s order, so the coefficients are
+field (`FieldPlan.recurrence`), given the initial values and a Gamma table
+whose length fixes n: one loop over i in which each chain of partial
+products appends grid slot i-1 to its own float list, then every equation
+sums its terms in `compose_series`'s order, so the coefficients are
 bit-identical to recomposing the whole field at every step.  `solve` builds
 no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
 path (`compose_series`, then repeated Caputo derivatives) and share no
@@ -29,17 +30,17 @@ the library computed, without re-validation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .field import PolynomialVectorField, compose_series
-from .fracpoly import FractionalPolynomial, _caputo_step, _from_floats, add_scaled
+from .fracpoly import (FractionalPolynomial, _caputo_step, _check_degree, _check_grid,
+                       _from_floats, add_scaled)
 from .special import gamma
 
 
 @dataclass(frozen=True)
 class SeriesProblem:
-    """An initial value problem together with the requested series degree."""
+    """An initial value problem and its series degree, checked by `fracpoly`'s rules."""
 
     field: PolynomialVectorField
     y0: tuple[float, ...]
@@ -53,12 +54,8 @@ class SeriesProblem:
             raise ValueError(
                 f"{len(self.y0)} initial values for dimension {self.field.dimension}"
             )
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
-        if type(self.degree) is not int or self.degree < 0:
-            raise ValueError(f"degree must be an int >= 0, got {self.degree!r}")
+        _check_grid(self.alpha, self.t0)
+        _check_degree(self.degree, "degree")
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,13 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
 
     The constant coefficients are the initial values; each further index is
     fixed by the explicit recursion described in the module docstring, all
-    components advancing in lockstep.  Degree 0 returns the constant initial
-    values.  No defect is built; `build_defect` and `verify_defect_conditions`
-    check the result.
+    components advancing in lockstep over a Gamma table of degree + 1 entries.
+    Degree 0 returns the constant initial values.  No defect is built;
+    `build_defect` and `verify_defect_conditions` check the result.
     """
-    n = problem.degree
     a = problem.alpha
-    g = [gamma(i * a + 1.0) for i in range(n + 1)]
-    coeffs = problem.field.plan.recurrence(n, problem.y0, g)
+    g = [gamma(i * a + 1.0) for i in range(problem.degree + 1)]
+    coeffs = problem.field.plan.recurrence(problem.y0, g)
     series = tuple(_from_floats(a, problem.t0, tuple(c)) for c in coeffs)
     return SeriesSolution(series=series, problem=problem)
 

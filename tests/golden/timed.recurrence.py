@@ -1,9 +1,9 @@
-def recurrence(n, y0, g):
- y1 = [y0[1]]
- y0 = [y0[0]]
+def recurrence(init, g):
+ y0 = [init[0]]
+ y1 = [init[1]]
  s2 = []
  s3 = []
- for i in range(1, n + 1):
+ for i in range(1, len(g)):
   ratio = g[i - 1] / g[i]
   acc = 0.0
   for left, right in zip(y0, reversed(y0)):

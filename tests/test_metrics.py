@@ -78,11 +78,19 @@ def test_missing_sample_time_rejected():
         comparison_table(_published_trajectory(), _published_series(), 0, [0.55])
 
 
-@pytest.mark.parametrize("component", [-1, 3, 4])
+@pytest.mark.parametrize("component", [-1, 3, 4, True, 1.0, None])
 def test_component_outside_the_series_rejected(component):
-    # -1 once read the last component.
-    with pytest.raises(ValueError, match=rf"^component {component} is outside the 3 series$"):
+    # -1 once read the last component, True component 1, and 1.0 raised a
+    # bare TypeError.
+    with pytest.raises(ValueError, match=rf"^component {component!r} is outside the 3 series$"):
         comparison_table(_published_trajectory(), _published_series(), component, [0.1])
+
+
+def test_trajectory_narrower_than_the_series_rejected():
+    # Component 1 of a 1-wide trajectory once raised a bare IndexError.
+    narrow = Trajectory(times=(0.0, 0.1), states=((1.0,), (0.9,)))
+    with pytest.raises(ValueError, match="^trajectory states have 1 components, fewer than the 3"):
+        comparison_table(narrow, _published_series(), 1, [0.1])
 
 
 def _grid_index_by_scan(times, t):

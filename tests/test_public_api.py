@@ -6,7 +6,9 @@ defines beyond them are listed here, so a new, renamed or removed name or
 option shows up as a diff of this file.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import fracseries
 
@@ -67,3 +69,12 @@ def test_all_is_pinned():
 def test_signatures_and_members_are_pinned():
     got = {name: _surface(getattr(fracseries, name)) for name in fracseries.__all__}
     assert got == SURFACE
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # Syntax newer than requires-python would break an install pip allows.
+    package = Path(fracseries.__file__).parent
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    for path in sorted(package.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -120,6 +120,8 @@ def test_trajectory_validation():
         Trajectory(times=(0.0, 0.0), states=((1.0,), (1.0,)))
     with pytest.raises(ValueError, match="strictly increasing"):
         Trajectory(times=(0.0, math.nan, 1.0), states=((1.0,),) * 3)
+    with pytest.raises(ValueError, match="same width"):
+        Trajectory(times=(0.0, 0.5), states=((1.0, 2.0, 3.0), (2.0,)))
 
 
 def test_sir_decreasing_susceptibles(sir_rk_trajectory):

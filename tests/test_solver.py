@@ -4,17 +4,20 @@ import importlib
 import math
 import pickle
 import random
+import re
 
 import pytest
 
 from fracseries import (
     FractionalPolynomial,
+    GridMismatchError,
     Monomial,
     PolynomialVectorField,
     SeriesProblem,
     build_defect,
     compose_series,
     gamma,
+    multiply_truncated,
     sir_field,
     solve,
     verify_defect_conditions,
@@ -766,3 +769,40 @@ def test_sir_degree80_matches_mpmath_recursion(sir_spec, alpha, bound):
         for c, e in zip(series.coeffs, ref)
     )
     assert err <= bound, float(err)
+
+
+# Every entry point that takes a degree applies the same rule, with one
+# message naming the argument.
+_SIR = sir_field(0.001, 0.072)
+_P = FractionalPolynomial(0.5, 0.0, (1.0, 0.25, -0.5))
+_DEGREE_TAKERS = {
+    "truncated": ("max_degree", _P.truncated),
+    "multiply_truncated": ("max_degree", lambda n: multiply_truncated(_P, _P, n)),
+    "compose_series": ("max_degree", lambda n: compose_series(_SIR, [_P] * 3, n)),
+    "build_defect": ("max_degree", lambda n: build_defect(_SIR, [_P] * 3, n)),
+    "SeriesProblem": (
+        "degree",
+        lambda n: SeriesProblem(field=_SIR, y0=INITIAL, alpha=0.5, t0=0.0, degree=n),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, 2.0, True, None])
+@pytest.mark.parametrize("taker", sorted(_DEGREE_TAKERS))
+def test_every_degree_input_follows_one_rule(taker, value):
+    # A float degree once raised TypeError deep inside a product or a slice,
+    # and True once truncated to two coefficients.
+    name, call = _DEGREE_TAKERS[taker]
+    message = rf"^{name} must be an int >= 0, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("function", [compose_series, build_defect])
+def test_a_series_on_another_grid_is_rejected(function):
+    # R enters no monomial of SIR, so no product ever met its grid and
+    # compose_series once returned three series on S's grid.
+    s = FractionalPolynomial(0.5, 0.0, (0.9, 0.1))
+    r = FractionalPolynomial(0.75, 3.0, (0.0, 0.2))
+    with pytest.raises(GridMismatchError):
+        function(_SIR, [s, s, r], 2)
