@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .special import gamma
 
@@ -47,7 +47,8 @@ def _check_degree(n: object, name: str) -> None:
         raise ValueError(f"{name} must be an int >= 0, got {n!r}")
 
 
-def _check_same_grid(p: "FractionalPolynomial", q: "FractionalPolynomial") -> None:
+def _check_same_grid(p: Any, q: Any) -> None:
+    """The one rule for two grids: p and q (anything with alpha and t0) agree."""
     if p.alpha != q.alpha or p.t0 != q.t0:
         raise GridMismatchError(
             f"grid mismatch: (alpha={p.alpha}, t0={p.t0}) vs (alpha={q.alpha}, t0={q.t0})"

@@ -10,17 +10,21 @@ A model configuration is a JSON object with exactly these fields:
     t0:        expansion center
     equations: one array of terms per variable; each term is an object
                {"coeff": number, "powers": [ints], "tpower": int}
-               ("tpower" may be omitted and defaults to 0)
+               ("tpower" may be omitted and defaults to 0); a term's powers
+               sum to at most 10000, the CLI's cap on --degree
 
-Unknown fields anywhere in the document are rejected.
+Unknown fields anywhere in the document are rejected.  alpha, t0 and every
+power follow `fracpoly`'s grid and degree rules, with the same messages.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .field import Monomial, PolynomialVectorField
+from .fracpoly import _check_degree, _check_grid
 
 
 class ModelConfigError(ValueError):
@@ -97,18 +101,10 @@ def parse_model_config(document: str) -> ModelSpec:
 
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise ModelConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelConfigError("top-level document must be an object")
-
-    required = {"variables", "initial", "alpha", "t0", "equations"}
-    unknown = set(doc) - required
-    if unknown:
-        raise ModelConfigError(f"unknown field {sorted(unknown)[0]!r}")
-    missing = required - set(doc)
-    if missing:
-        raise ModelConfigError(f"missing field {sorted(missing)[0]!r}")
+    _check_fields(doc, "top-level document",
+                  {"variables", "initial", "alpha", "t0", "equations"})
 
     variables = doc["variables"]
     if not isinstance(variables, list) or not variables or not all(
@@ -123,22 +119,19 @@ def parse_model_config(document: str) -> ModelSpec:
     dim = len(variables)
 
     initial = doc["initial"]
-    if not isinstance(initial, list) or not all(_is_number(v) for v in initial):
-        raise ModelConfigError("'initial' must be an array of finite numbers")
-    if len(initial) != dim:
-        raise ModelConfigError(
-            f"'initial' has {len(initial)} entries for {dim} variables"
-        )
+    if not isinstance(initial, list) or len(initial) != dim or not all(
+        _is_number(v) for v in initial
+    ):
+        raise ModelConfigError(f"'initial' must be an array of {dim} finite numbers")
 
-    alpha = doc["alpha"]
-    if not _is_number(alpha):
-        raise ModelConfigError("'alpha' must be a finite number")
-    if not 0.0 < float(alpha) <= 1.0:
-        raise ModelConfigError(f"alpha out of (0, 1]: {alpha}")
-
-    t0 = doc["t0"]
-    if not _is_number(t0):
-        raise ModelConfigError("'t0' must be a finite number")
+    alpha, t0 = doc["alpha"], doc["t0"]
+    for name, value in (("alpha", alpha), ("t0", t0)):
+        if not _is_number(value):
+            raise ModelConfigError(f"'{name}' must be a finite number")
+    try:
+        _check_grid(float(alpha), float(t0))
+    except ValueError as exc:
+        raise ModelConfigError(str(exc)) from exc
 
     equations = doc["equations"]
     if not isinstance(equations, list) or len(equations) != dim:
@@ -163,31 +156,35 @@ def parse_model_config(document: str) -> ModelSpec:
 
 def _parse_term(term: object, eq_index: int, term_index: int, dim: int) -> Monomial:
     where = f"equation {eq_index}, term {term_index}"
-    if not isinstance(term, dict):
-        raise ModelConfigError(f"{where}: term must be an object")
-    unknown = set(term) - {"coeff", "powers", "tpower"}
-    if unknown:
-        raise ModelConfigError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-    if "coeff" not in term or "powers" not in term:
-        raise ModelConfigError(f"{where}: term needs 'coeff' and 'powers'")
+    _check_fields(term, where, {"coeff", "powers"}, {"tpower"})
     coeff = term["coeff"]
     if not _is_number(coeff):
         raise ModelConfigError(f"{where}: 'coeff' must be a finite number")
     powers = term["powers"]
-    if not isinstance(powers, list) or not all(
-        isinstance(e, int) and not isinstance(e, bool) for e in powers
-    ):
-        raise ModelConfigError(f"{where}: 'powers' must be an array of integers")
-    if len(powers) != dim:
-        raise ModelConfigError(
-            f"{where}: 'powers' has {len(powers)} entries for {dim} variables"
-        )
-    if any(e < 0 for e in powers):
-        raise ModelConfigError(f"{where}: state powers must be non-negative")
+    if not isinstance(powers, list) or len(powers) != dim:
+        raise ModelConfigError(f"{where}: 'powers' must be an array of {dim} integers")
     tpower = term.get("tpower", 0)
-    if not isinstance(tpower, int) or isinstance(tpower, bool) or tpower < 0:
-        raise ModelConfigError(f"{where}: 'tpower' must be a non-negative integer")
+    try:
+        for k, e in enumerate(powers):
+            _check_degree(e, f"'powers'[{k}]")
+        _check_degree(tpower, "'tpower'")
+    except ValueError as exc:
+        raise ModelConfigError(f"{where}: {exc}") from exc
+    if sum(powers) > 10_000:  # the field plan builds one node per factor
+        raise ModelConfigError(f"{where}: 'powers' sum to more than 10000")
     return Monomial(coeff=float(coeff), state_powers=tuple(powers), time_power=tpower)
+
+
+def _check_fields(value: object, where: str, required: Set[str],
+                  optional: Set[str] = frozenset()) -> None:
+    """The one rule for a JSON object: every required field and no unknown one."""
+    if not isinstance(value, dict):
+        raise ModelConfigError(f"{where} must be an object")
+    unknown, missing = set(value) - required - optional, required - set(value)
+    if unknown:
+        raise ModelConfigError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+    if missing:
+        raise ModelConfigError(f"{where}: missing field {sorted(missing)[0]!r}")
 
 
 def _is_number(value: object) -> bool:

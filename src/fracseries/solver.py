@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .field import PolynomialVectorField, compose_series
 from .fracpoly import (FractionalPolynomial, _caputo_step, _check_degree, _check_grid,
-                       _from_floats, add_scaled)
+                       _check_same_grid, _from_floats, add_scaled)
 from .special import gamma
 
 
@@ -111,13 +111,11 @@ def verify_defect_conditions(
     per-index rebuild at O(n^2) instead of O(n^3) cost.
 
     Raises:
-        ValueError: if a series' alpha or t0 differs from the problem's.
+        GridMismatchError: unless every series shares the problem's alpha and t0.
     """
     n, a = problem.degree, problem.alpha
     for s in solution.series:
-        if (s.alpha, s.t0) != (a, problem.t0):
-            raise ValueError(f"series grid (alpha={s.alpha}, t0={s.t0}) differs from "
-                             f"the problem's (alpha={a}, t0={problem.t0})")
+        _check_same_grid(s, problem)
     if n == 0:
         return []
     defect = build_defect(problem.field, list(solution.series), n - 1)

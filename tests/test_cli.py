@@ -164,6 +164,17 @@ class TestSolve:
         assert cp.returncode == 2
         assert "alpha" in cp.stderr
 
+    def test_one_alpha_rule_one_message(self, tmp_path: Path):
+        # The flag is a domain error (exit 1), the config field a config
+        # error (exit 2); both report fracpoly's one grid rule.
+        bad = tmp_path / "bad.json"
+        bad.write_text(SHIPPED_SIR.read_text().replace('"alpha": 1.0', '"alpha": 1.5'))
+        flag = run_cli("solve", "--alpha", "1.5", "--out-dir", str(tmp_path / "a"))
+        config = run_cli("solve", "--model", str(bad), "--out-dir", str(tmp_path / "b"))
+        line = "error: alpha must lie in (0, 1], got 1.5\n"
+        assert (flag.returncode, flag.stderr) == (1, line)
+        assert (config.returncode, config.stderr) == (2, line)
+
     def test_deterministic_output(self, tmp_path: Path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -71,7 +71,7 @@ class TestParseModelConfig:
 
     def test_alpha_out_of_range(self):
         doc = SHIPPED_SIR.read_text().replace('"alpha": 1.0', '"alpha": 1.5')
-        with pytest.raises(ModelConfigError, match="alpha out of"):
+        with pytest.raises(ModelConfigError, match=r"^alpha must lie in \(0, 1\], got 1\.5$"):
             parse_model_config(doc)
 
     def test_wrong_powers_width(self):
@@ -154,6 +154,49 @@ class TestParseModelConfig:
                    equations=[[{"coeff": -1.0, "powers": [0, 1]}]] * 2)
         with pytest.raises(ModelConfigError, match=f"variable {re.escape(repr(bad))} "):
             parse_model_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ({"coeff": 1.0, "powers": [True, 1, 0]}, r"'powers'\[0\] must be an int >= 0, got True"),
+            ({"coeff": 1.0, "powers": [1, 1.0, 0]}, r"'powers'\[1\] must be an int >= 0, got 1\.0"),
+            ({"coeff": 1.0, "powers": [1, 1, -1]}, r"'powers'\[2\] must be an int >= 0, got -1"),
+            ({"coeff": 1.0, "powers": [0, 1, 0], "tpower": False},
+             r"'tpower' must be an int >= 0, got False"),
+            ({"coeff": 1.0, "powers": [0, 1, 0], "tpower": 2.0},
+             r"'tpower' must be an int >= 0, got 2\.0"),
+            ({"coeff": 1.0, "powers": [10_000, 1, 0]}, r"'powers' sum to more than 10000"),
+            ({"coeff": 1.0, "powers": [10**400, 1, 0]}, r"'powers' sum to more than 10000"),
+            ([1.0, [0, 1, 0]], r"must be an object"),
+            ({"powers": [0, 1, 0]}, r"missing field 'coeff'"),
+            ({"coeff": 1.0}, r"missing field 'powers'"),
+        ],
+        ids=["bool-power", "float-power", "negative-power", "bool-tpower", "float-tpower",
+             "power-sum-10001", "power-sum-huge", "not-object", "no-coeff", "no-powers"],
+    )
+    def test_bad_term_rejected_with_its_location(self, term, message):
+        doc = json.loads(SHIPPED_SIR.read_text())
+        doc["equations"][1].append(term)
+        with pytest.raises(ModelConfigError, match=f"^equation 1, term 2:? {message}$"):
+            parse_model_config(json.dumps(doc))
+
+    def test_power_sum_at_the_cap_accepted(self):
+        doc = json.loads(SHIPPED_SIR.read_text())
+        doc["equations"][1].append({"coeff": 1.0, "powers": [9_999, 1, 0]})
+        assert parse_model_config(json.dumps(doc)).equations[1][2].state_powers == (9_999, 1, 0)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_equation_count_rejected(self, count):
+        doc = json.loads(SHIPPED_SIR.read_text())
+        doc["equations"] = (doc["equations"] * 2)[:count]
+        with pytest.raises(ModelConfigError, match=r"^'equations' must be an array of 3 term lists$"):
+            parse_model_config(json.dumps(doc))
+
+    def test_overlong_integer_literal_is_config_error(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, here.
+        doc = SHIPPED_SIR.read_text().replace('"coeff": -0.001', '"coeff": ' + "1" * 5000)
+        with pytest.raises(ModelConfigError, match=r"^invalid JSON: Exceeds the limit"):
+            parse_model_config(doc)
 
     def test_field_builds_from_spec(self):
         spec = parse_model_config(SHIPPED_SIR.read_text())

@@ -674,12 +674,13 @@ def test_oracle_rejects_series_on_another_grid(sir_spec):
     # An alpha-1 solution read on the alpha-0.5 grid once passed with limits
     # of at most 2.2e-16.
     at_one = solve(_sir_problem(sir_spec, 1.0, 9))
-    with pytest.raises(ValueError, match=r"^series grid \(alpha=1\.0, t0=0\.0\) differs "
-                                         r"from the problem's \(alpha=0\.5, t0=0\.0\)$"):
+    with pytest.raises(GridMismatchError, match=r"^grid mismatch: \(alpha=1\.0, t0=0\.0\) vs "
+                                                r"\(alpha=0\.5, t0=0\.0\)$"):
         verify_defect_conditions(at_one, _sir_problem(sir_spec, 0.5, 9))
     shifted = SeriesProblem(field=sir_spec.field(), y0=INITIAL, alpha=1.0, t0=1.0, degree=9)
     for degree in (0, 9):
-        with pytest.raises(ValueError, match=r"\(alpha=1\.0, t0=1\.0\)$"):
+        with pytest.raises(GridMismatchError, match=r"^grid mismatch: \(alpha=1\.0, t0=0\.0\) "
+                                                    r"vs \(alpha=1\.0, t0=1\.0\)$"):
             verify_defect_conditions(at_one, dataclasses.replace(shifted, degree=degree))
 
 
