@@ -22,13 +22,17 @@ from .fracpoly import (FractionalPolynomial, _check_degree, _check_same_grid, _f
                        add_scaled, multiply_truncated)
 
 
+# FieldPlan builds one node per state factor, so a term's state degree is capped.
+_MAX_STATE_DEGREE = 10_000
+
+
 @dataclass(frozen=True)
 class Monomial:
     """One term coeff * ((t-t0)^alpha)^time_power * prod_j y_j^state_powers[j].
 
-    The coefficient is stored as a float.  Powers must be non-negative
-    integers; integral values such as 2.0 are stored as int, anything else
-    raises ValueError.
+    The coefficient is stored as a float.  Every power follows `fracpoly`'s
+    degree rule, an int (not a bool) >= 0, so 2.0 and True raise ValueError,
+    and the state powers sum to at most 10000.
     """
 
     coeff: float
@@ -37,20 +41,12 @@ class Monomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", float(self.coeff))
-        powers = tuple(_power(e, "state") for e in self.state_powers)
-        object.__setattr__(self, "state_powers", powers)
-        object.__setattr__(self, "time_power", _power(self.time_power, "time"))
-
-
-def _power(e: object, kind: str) -> int:
-    """`e` as a plain int, which it must equal (so 2.0 gives 2, 1.5 fails)."""
-    try:
-        n = int(e)
-    except (TypeError, ValueError, OverflowError):
-        n = -1
-    if n < 0 or n != e:
-        raise ValueError(f"{kind} powers must be non-negative integers, got {e!r}")
-    return n
+        object.__setattr__(self, "state_powers", tuple(self.state_powers))
+        for k, e in enumerate(self.state_powers):
+            _check_degree(e, f"state_powers[{k}]")
+        _check_degree(self.time_power, "time_power")
+        if sum(self.state_powers) > _MAX_STATE_DEGREE:
+            raise ValueError(f"state_powers sum to more than {_MAX_STATE_DEGREE}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import argparse
+import ast
 import csv
 import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -592,4 +594,78 @@ def test_output_matches_golden_files(tmp_path: Path, monkeypatch, case):
     for name in names:
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), (
             f"{golden / name} is not what `{' '.join(args)}` writes; {hint}"
+        )
+
+
+# Since Python 3.12 a float sum() compensates its rounding, so one innocent
+# sum() in a hot path would print other bits under another interpreter.  The
+# children print a hash of every bit of SIR's degree-160 coefficients.
+SIR_DEG160_HASHES = """
+import hashlib
+from fracseries import SeriesProblem, sir_model, solve
+spec = sir_model()
+for alpha in (0.5, 1.0):
+    problem = SeriesProblem(field=spec.field(), y0=spec.initial, alpha=alpha, t0=0.0, degree=160)
+    bits = " ".join(c.hex() for s in solve(problem).series for c in s.coeffs)
+    print(alpha, hashlib.sha256(bits.encode()).hexdigest())
+"""
+
+
+def _other_interpreters() -> dict[tuple[int, int], str]:
+    """One binary per Python >= 3.10 other than this one, keyed by version.
+
+    Candidates are `$PYENV_ROOT/versions/*/bin/python3` and every `python3.N`
+    on PATH.  Only those whose folder or name claims a version still wanted
+    are probed, and one whose probe fails, such as a pyenv shim for a version
+    that is not selected, is skipped.
+    """
+    root = os.environ.get("PYENV_ROOT")
+    candidates = sorted(Path(root, "versions").glob("*/bin/python3")) if root else []
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        candidates += sorted(p for p in Path(folder or ".").glob("python3.*")
+                             if re.fullmatch(r"python3\.\d+", p.name))
+    found: dict[tuple[int, int], str] = {}
+    for exe in candidates:
+        name = exe.parent.parent.name if exe.name == "python3" else exe.name
+        claimed = tuple(int(n) for n in re.findall(r"\d+", name)[:2])
+        if claimed < (3, 10) or claimed in found or claimed == sys.version_info[:2]:
+            continue
+        try:
+            cp = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                                capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if cp.returncode == 0:
+            version = ast.literal_eval(cp.stdout.strip())
+            if version >= (3, 10) and version != sys.version_info[:2]:
+                found.setdefault(version, str(exe))
+    return found
+
+
+def test_output_bits_match_under_other_interpreters(tmp_path: Path):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other Python >= 3.10 under $PYENV_ROOT/versions or on PATH")
+    env = {**CHILD_ENV, "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def run(exe: str, *args: str, cwd: Path = tmp_path) -> str:
+        cp = subprocess.run([exe, *args], capture_output=True, text=True, env=env, cwd=cwd)
+        assert cp.returncode == 0, f"{exe} {' '.join(args)}: {cp.stderr}"
+        return cp.stdout
+
+    want = run(sys.executable, "-c", SIR_DEG160_HASHES)
+    for version, exe in sorted(interpreters.items()):
+        python = "Python %d.%d (%s)" % (*version, exe)
+        for case, args in GOLDEN_RUNS.items():
+            out, golden = tmp_path / ("%d.%d" % version) / case, GOLDEN_CLI / case
+            out.mkdir(parents=True)
+            run(exe, "-m", "fracseries", *args, *_out_args(args[0], str(out)), cwd=REPO_ROOT)
+            names = sorted(p.name for p in golden.iterdir())
+            assert sorted(p.name for p in out.iterdir()) == names, f"{python}, {case}"
+            for name in names:
+                assert (out / name).read_bytes() == (golden / name).read_bytes(), (
+                    f"{python} writes other bytes than {golden / name}"
+                )
+        assert run(exe, "-c", SIR_DEG160_HASHES) == want, (
+            f"{python} gives other bits for SIR's degree-160 coefficients"
         )

@@ -3,6 +3,7 @@ import linecache
 import math
 import pickle
 import random
+import re
 import tokenize
 import traceback
 from fractions import Fraction
@@ -54,18 +55,26 @@ class TestValidation:
                 equations=((Monomial(1.0, (1,)),),), variable_names=("a", "b")
             )
 
-    @pytest.mark.parametrize("powers, time_power", [
-        ((1.5,), 0), ((1,), 1.5), ((math.nan,), 0), ((1,), math.inf), (("2",), 0),
-        ((None,), 0),
+    @pytest.mark.parametrize("powers, time_power, name, bad", [
+        ((1.5,), 0, "state_powers[0]", 1.5), ((1,), 1.5, "time_power", 1.5),
+        ((math.nan,), 0, "state_powers[0]", math.nan), ((1,), math.inf, "time_power", math.inf),
+        (("2",), 0, "state_powers[0]", "2"), ((None,), 0, "state_powers[0]", None),
+        ((1, True), 0, "state_powers[1]", True), ((1,), False, "time_power", False),
+        ((2.0,), 0, "state_powers[0]", 2.0), ((1, 1, -1), 0, "state_powers[2]", -1),
     ])
-    def test_non_integer_power_rejected(self, powers, time_power):
-        with pytest.raises(ValueError, match="non-negative integers"):
+    def test_non_integer_power_rejected(self, powers, time_power, name, bad):
+        # fracpoly's degree rule, so 2.0 and True raise rather than become ints.
+        message = rf"^{re.escape(name)} must be an int >= 0, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             Monomial(1.0, powers, time_power)
 
-    def test_integral_powers_stored_as_int(self):
-        m = Monomial(1.0, (2.0, True, 0), time_power=3.0)
-        assert m.state_powers == (2, 1, 0) and m.time_power == 3
-        assert all(type(e) is int for e in (*m.state_powers, m.time_power))
+    def test_state_degree_capped_at_construction(self):
+        # FieldPlan builds one node per state factor; a huge power must fail
+        # here, before any plan exists, not grow memory at `field.plan`.
+        assert Monomial(1.0, (9_999, 1), time_power=10**6).state_powers == (9_999, 1)
+        for powers in ((10_000, 1), (5_001, 5_000), (10**400, 0)):
+            with pytest.raises(ValueError, match=r"^state_powers sum to more than 10000$"):
+                Monomial(1.0, powers)
 
     def test_coefficient_stored_as_float(self):
         # Series built from these coefficients skip the constructor's coercion.
@@ -74,17 +83,6 @@ class TestValidation:
             assert type(coeff) is float and coeff.hex() == want.hex()
         with pytest.raises(TypeError):
             Monomial(1j, (1,))
-
-    def test_integral_float_powers_solve_like_ints(self):
-        # A float time power used to reach solve, which indexes lists with it.
-        def coeffs(powers, time_power):
-            field = PolynomialVectorField(
-                equations=((Monomial(0.5, powers, time_power),),), variable_names=("y",)
-            )
-            problem = SeriesProblem(field=field, y0=(1.0,), alpha=0.5, t0=0.0, degree=8)
-            return solve(problem).series[0].coeffs
-
-        assert coeffs((2.0,), 1.0) == coeffs((2,), 1)
 
 
 class TestEvaluateField:

@@ -101,7 +101,8 @@ class TestParseModelConfig:
 
     def test_negative_tpower(self):
         doc = SHIPPED_SIR.read_text().replace('"tpower": 0}', '"tpower": -1}', 1)
-        with pytest.raises(ModelConfigError, match="tpower"):
+        with pytest.raises(ModelConfigError,
+                           match=r"^equation 0, term 0: time_power must be an int >= 0, got -1$"):
             parse_model_config(doc)
 
     def test_tpower_defaults_to_zero(self):
@@ -158,15 +159,15 @@ class TestParseModelConfig:
     @pytest.mark.parametrize(
         "term, message",
         [
-            ({"coeff": 1.0, "powers": [True, 1, 0]}, r"'powers'\[0\] must be an int >= 0, got True"),
-            ({"coeff": 1.0, "powers": [1, 1.0, 0]}, r"'powers'\[1\] must be an int >= 0, got 1\.0"),
-            ({"coeff": 1.0, "powers": [1, 1, -1]}, r"'powers'\[2\] must be an int >= 0, got -1"),
+            ({"coeff": 1.0, "powers": [True, 1, 0]}, r"state_powers\[0\] must be an int >= 0, got True"),
+            ({"coeff": 1.0, "powers": [1, 1.0, 0]}, r"state_powers\[1\] must be an int >= 0, got 1\.0"),
+            ({"coeff": 1.0, "powers": [1, 1, -1]}, r"state_powers\[2\] must be an int >= 0, got -1"),
             ({"coeff": 1.0, "powers": [0, 1, 0], "tpower": False},
-             r"'tpower' must be an int >= 0, got False"),
+             r"time_power must be an int >= 0, got False"),
             ({"coeff": 1.0, "powers": [0, 1, 0], "tpower": 2.0},
-             r"'tpower' must be an int >= 0, got 2\.0"),
-            ({"coeff": 1.0, "powers": [10_000, 1, 0]}, r"'powers' sum to more than 10000"),
-            ({"coeff": 1.0, "powers": [10**400, 1, 0]}, r"'powers' sum to more than 10000"),
+             r"time_power must be an int >= 0, got 2\.0"),
+            ({"coeff": 1.0, "powers": [10_000, 1, 0]}, r"state_powers sum to more than 10000"),
+            ({"coeff": 1.0, "powers": [10**400, 1, 0]}, r"state_powers sum to more than 10000"),
             ([1.0, [0, 1, 0]], r"must be an object"),
             ({"powers": [0, 1, 0]}, r"missing field 'coeff'"),
             ({"coeff": 1.0}, r"missing field 'powers'"),
@@ -179,6 +180,23 @@ class TestParseModelConfig:
         doc["equations"][1].append(term)
         with pytest.raises(ModelConfigError, match=f"^equation 1, term 2:? {message}$"):
             parse_model_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "powers, tpower",
+        [([True, 1, 0], 0), ([1, 2.0, 0], 0), ([1, 1, -1], 0), ([0, 1, 0], False),
+         ([0, 1, 0], 2.0), ([0, 1, 0], -3), ([10_000, 1, 0], 0), ([10**400, 1, 0], 0)],
+        ids=["bool-power", "float-power", "negative-power", "bool-tpower", "float-tpower",
+             "negative-tpower", "power-sum-10001", "power-sum-huge"],
+    )
+    def test_power_message_is_monomials(self, powers, tpower):
+        # One rule, one message: a config adds only the term's location.
+        with pytest.raises(ValueError) as built:
+            Monomial(1.0, powers, tpower)
+        doc = json.loads(SHIPPED_SIR.read_text())
+        doc["equations"][1].append({"coeff": 1.0, "powers": powers, "tpower": tpower})
+        with pytest.raises(ModelConfigError) as parsed:
+            parse_model_config(json.dumps(doc))
+        assert str(parsed.value) == f"equation 1, term 2: {built.value}"
 
     def test_power_sum_at_the_cap_accepted(self):
         doc = json.loads(SHIPPED_SIR.read_text())
