@@ -60,7 +60,7 @@ def conformable_power_derivative(beta_exp: float, alpha: float, t_shift: float) 
 
     Raises:
         ValueError: if alpha is not positive and finite, beta_exp is not
-            finite or beta_exp <= m - 1, t_shift is negative or NaN, or
+            finite or beta_exp <= m - 1, t_shift is negative, NaN or infinite, or
             t_shift = 0 with a negative result exponent.
     """
     _, top_arg, _, conformable_arg = _gamma_arguments(beta_exp, alpha)
@@ -105,8 +105,8 @@ def discrepancy_report(beta_exp: float, alpha: float) -> DiscrepancyReport:
 
 
 def _power(t_shift: float, exponent: float) -> float:
-    if not t_shift >= 0.0:
-        raise ValueError(f"t_shift must be non-negative, got {t_shift}")
+    if not 0.0 <= t_shift < math.inf:
+        raise ValueError(f"t_shift must be non-negative and finite, got {t_shift}")
     if t_shift == 0.0:
         if exponent < 0.0:
             raise ValueError("zero t_shift with a negative result exponent diverges")

@@ -80,22 +80,22 @@ class PolynomialVectorField:
 
     @cached_property
     def plan(self) -> "FieldPlan":
-        """This field compiled once, for `solve`, `evaluate_field` and RK4."""
+        """This field's term table and generated loops, built once."""
         return FieldPlan(self)
 
 
-_GENERATED = ("recurrence", "evaluate", "rk4")
+_GENERATED = ("recurrence", "rk4")
 
 
 class FieldPlan:
-    """A vector field compiled for repeated evaluation.
+    """A vector field's term table, and the loops generated from it.
 
     `nodes[k] = (parent, j)`: node k is node `parent` times y_j, node 0 is 1.
     A monomial's state factors (in variable order, repeats included) form a
     chain of nodes; chains share prefixes such as SIR's S*I.  The one table
     `terms[i][m] = (coeff, time_power, node, factors)` holds monomial m of
     equation i: its chain's last node and (j, e) for every state power e > 0.
-    Each name in `_GENERATED` is a function written by `{name}_source()` and
+    Each name in `_GENERATED` is a loop written by `{name}_source()` and
     compiled by `_compile` on first use, once per field and none from
     another.  Coefficient m of equation i is always the global `c{i}_{m}`, so
     the source holds only names, indices, integer powers and fixed constants.
@@ -121,11 +121,6 @@ class FieldPlan:
     def recurrence(self) -> Callable[[Sequence[float], Sequence[float]], list[list[float]]]:
         """`solve`'s coefficient lists, from `recurrence_source`."""
         return self._compile("recurrence")
-
-    @cached_property
-    def evaluate(self) -> Callable[[float, Sequence[float]], list[float]]:
-        """`evaluate_field` without its argument checks, from `evaluate_source`."""
-        return self._compile("evaluate")
 
     @cached_property
     def rk4(self) -> Callable[..., tuple[list[float], list[tuple[float, ...]]]]:
@@ -172,17 +167,11 @@ class FieldPlan:
             lines.append(f"  y{j}.append(ratio * acc)")
         return lines + [f" return [{', '.join(f'y{j}' for j in dim)}]"]
 
-    def evaluate_source(self) -> list[str]:
-        """Lines of `evaluate(u, y)`: every equation at time value u and state
-        y, one `_point_lines` statement per monomial."""
-        out = ", ".join(f"e{i}" for i in range(len(self.terms)))
-        return ["def evaluate(u, y):", *self._point_lines(" ", "e{}", "y[{}]"), f" return [{out}]"]
-
     def rk4_source(self) -> list[str]:
         """Lines of `rk4(y, k1, t0, h, n_steps, record_every)`: RK4's loop,
         returning the recorded times and states.  `k1` is f(t0, y), the first
         step's first stage.  Each stage inlines `_point_lines` on one local per
-        state component, so its float operations are those of `evaluate`.
+        state component, so its float operations are those of `evaluate_field`.
         """
         dim, timed = range(len(self.terms)), any(t[1] for ts in self.terms for t in ts)
         y, k1 = "".join(f"y{j}, " for j in dim), "".join(f"k1_{j}, " for j in dim)
@@ -230,7 +219,8 @@ def evaluate_field(
 
     `t_shifted_pow_alpha` is the already-computed value of (t - t0)^alpha, so
     the same field serves both the series machinery (fractional alpha) and an
-    integer-order integrator (alpha = 1, where it is simply t - t0).
+    integer-order integrator (alpha = 1, where it is simply t - t0).  It walks
+    `field.plan.terms`; RK4's stages do its float operations (x ** 1 == x).
 
     Raises:
         ValueError: if len(y) != field.dimension or the time value is negative,
@@ -240,7 +230,16 @@ def evaluate_field(
         raise ValueError(f"state has length {len(y)}, expected {field.dimension}")
     if not 0.0 <= t_shifted_pow_alpha < math.inf:
         raise ValueError(f"time value must be non-negative and finite, got {t_shifted_pow_alpha}")
-    return field.plan.evaluate(t_shifted_pow_alpha, y)
+    out = []
+    for terms in field.plan.terms:
+        acc = 0.0
+        for coeff, p, _, factors in terms:
+            v = coeff * t_shifted_pow_alpha**p if p else coeff
+            for j, e in factors:
+                v *= y[j] ** e
+            acc += v
+        out.append(acc)
+    return out
 
 
 def compose_series(

@@ -77,17 +77,16 @@ def sir_model(
     p1: float = 0.001,
     p2: float = 0.072,
     initial: tuple[float, float, float] = (620.0, 10.0, 70.0),
-    alpha: float = 1.0,
-    t0: float = 0.0,
 ) -> ModelSpec:
-    """The built-in SIR benchmark (defaults: the shipped sir.json values)."""
+    """The built-in SIR benchmark at order 1 and center 0 (defaults: the
+    shipped sir.json values; the CLI's --alpha sets another order)."""
     field = sir_field(p1, p2)
     return ModelSpec(
         variable_names=field.variable_names,
         initial=tuple(float(v) for v in initial),
         equations=field.equations,
-        alpha=alpha,
-        t0=t0,
+        alpha=1.0,
+        t0=0.0,
     )
 
 

@@ -49,8 +49,10 @@ class TestConformablePowerDerivative:
         assert conformable_power_derivative(1.0, 0.5, 0.0) == 0.0
 
     def test_nan_shift_rejected(self):
-        with pytest.raises(ValueError, match="t_shift must be non-negative"):
-            conformable_power_derivative(1.0, 0.5, math.nan)
+        for value in (conformable_power_derivative, caputo_power_value):
+            for t_shift in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="t_shift must be non-negative and finite"):
+                    value(1.0, 0.5, t_shift)
 
 
 class TestCaputoPowerValue:

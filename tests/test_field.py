@@ -215,11 +215,6 @@ class TestPlan:
         field = sir_field(0.001, 0.072)
         assert field.plan is field.plan
 
-    def test_solve_leaves_the_evaluator_unbuilt(self):
-        field = sir_field(0.001, 0.072)
-        solve(SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=0.5, t0=0.0, degree=20))
-        assert "evaluate" not in field.plan.__dict__
-
     def test_evaluate_field_leaves_the_recurrence_unbuilt(self):
         field = sir_field(0.001, 0.072)
         evaluate_field(field, 0.5, (620.0, 10.0, 70.0))
@@ -231,7 +226,6 @@ class TestPlan:
         want_series = [s.coeffs for s in solve(problem).series]
         want = evaluate_field(field, 0.5, (620.0, 10.0, 70.0))
         copy = pickle.loads(pickle.dumps(field))
-        assert "evaluate" not in copy.plan.__dict__
         assert "recurrence" not in copy.plan.__dict__
         assert evaluate_field(copy, 0.5, (620.0, 10.0, 70.0)) == want
         solved = solve(SeriesProblem(field=copy, y0=problem.y0, alpha=0.5, t0=0.0, degree=30))
@@ -265,16 +259,14 @@ class TestPlan:
         for t0, t_end, h, record_every in ((0.0, 1.0, 0.1, 1), (-2.0, 3.0, 0.05, 4),
                                            (1.5, 2.0, 0.125, 2)):
             rk4_integrate(field, (620.0, 10.0, 70.0), t0, t_end, h, record_every)
-        # The first call's k1 comes from `evaluate_field`, which builds `evaluate`.
-        assert sorted(compiled) == ["evaluate", "rk4"]
+        assert compiled == ["rk4"]
         assert field.plan.rk4 is field.plan.rk4
 
-    def test_evaluator_built_once_per_plan(self, compiled):
+    def test_evaluate_field_compiles_nothing(self, compiled):
         field = sir_field(0.001, 0.072)
         for u in (0.0, 0.5, 1.0):
             evaluate_field(field, u, (620.0, 10.0, 70.0))
-        assert compiled == ["evaluate"]
-        assert field.plan.evaluate is field.plan.evaluate
+        assert compiled == []
 
     def test_recurrence_built_once_per_plan(self, compiled):
         field = sir_field(0.001, 0.072)
@@ -297,7 +289,7 @@ class TestPlan:
                    if t.type == tokenize.NUMBER}
         # 0.0 starts every sum; 1.0 is the recurrence's constant node, and
         # 0.5, 2.0 and 6.0 are RK4's own weights.
-        constants = {"recurrence": {"1.0"}, "evaluate": set(), "rk4": {"0.5", "2.0", "6.0"}}
+        constants = {"recurrence": {"1.0"}, "rk4": {"0.5", "2.0", "6.0"}}
         assert all(v.isdigit() or v in {"0.0", *constants[name]} for v in numbers)
         assert not any(text in source for text in ("2.5", "nan", "inf", "os", "1e300"))
         assert callable(getattr(field.plan, name))
@@ -305,15 +297,15 @@ class TestPlan:
     def test_generated_frames_name_their_generator(self):
         plan = sir_field(0.001, 0.072).plan
         with pytest.raises(IndexError) as info:
-            plan.evaluate(0.0, [1.0])
+            plan.recurrence([1.0], [1.0, 1.0])  # SIR needs three initial values
         frame = traceback.extract_tb(info.tb)[-1]
-        assert (frame.filename, frame.name) == ("<FieldPlan.evaluate>", "evaluate")
+        assert (frame.filename, frame.name) == ("<FieldPlan.recurrence>", "recurrence")
 
     def test_no_generated_source_is_kept(self):
         plan = sir_field(0.001, 0.072).plan
         assert all(callable(getattr(plan, name)) for name in _GENERATED)
         with pytest.raises(IndexError) as info:
-            plan.evaluate(0.0, [1.0])
+            plan.recurrence([1.0], [1.0, 1.0])
         traceback.format_exception(info.type, info.value, info.tb)  # reads linecache
         assert not [key for key in linecache.cache if "FieldPlan" in key]
         assert set(vars(plan)) == {"nodes", "terms", *_GENERATED}

@@ -11,6 +11,8 @@ from fracseries.field import _GENERATED
 from fracseries.fracpoly import _horner_source
 
 GOLDEN = Path(__file__).parent / "golden"
+# 65 coefficients take one full 64-step statement and one of a single step.
+HORNER_SIZES = (3, 65)
 
 FIELDS = {
     "sir": sir_field(0.001, 0.072),
@@ -38,8 +40,7 @@ def test_source_matches_golden_file(key, name):
     )
 
 
-# 65 coefficients take one full 64-step statement and one of a single step.
-@pytest.mark.parametrize("n", (3, 65))
+@pytest.mark.parametrize("n", HORNER_SIZES)
 def test_horner_source_matches_golden_file(n):
     path = GOLDEN / f"horner.{n}.py"
     source = "\n".join(_horner_source(n)) + "\n"
@@ -49,3 +50,10 @@ def test_horner_source_matches_golden_file(n):
         f"{path} is not what _horner_source({n}) emits; if the change is meant, "
         f"regenerate it from the repository root with\n{command}"
     )
+
+
+def test_every_golden_file_is_read_by_a_case():
+    read = {f"{key}.{name}.py" for key in FIELDS for name in _GENERATED}
+    read |= {f"horner.{n}.py" for n in HORNER_SIZES}
+    stale = sorted(p.name for p in GOLDEN.glob("*.py") if p.name not in read)
+    assert not stale, f"no case reads {stale}: delete the file or add its case"

@@ -7,7 +7,6 @@ every run checks the same cases.
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -20,6 +19,8 @@ from fracseries import (  # noqa: E402
     SeriesProblem,
     solve,
 )
+
+from exact_reference import rounding_misses  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -115,50 +116,7 @@ def integer_problems(draw):
     return SeriesProblem(field=field, y0=y0, alpha=1.0, t0=0.0, degree=draw(st.integers(0, 30)))
 
 
-def _exact_coefficients(field, y0, degree):
-    """The series coefficients at alpha 1 in exact arithmetic, written from
-    the monomials alone: the step ratio Gamma(i)/Gamma(i + 1) is 1/i, so
-    c_i = (slot i-1 of f(t, P)) / i.
-
-    Each monomial keeps the slots of its own partial products, the constant
-    1 first and then one more state factor each, in variable order.
-    """
-    c = [[Fraction(v)] for v in y0]
-    one = [Fraction(1)] + [Fraction(0)] * degree
-    monos = [(j, m, [v for v, e in enumerate(m.state_powers) for _ in range(e)])
-             for j, equation in enumerate(field.equations) for m in equation]
-    chains = [[one] + [[] for _ in factors] for _, _, factors in monos]
-    for i in range(1, degree + 1):
-        slots = [Fraction(0)] * len(c)
-        for (j, m, factors), chain in zip(monos, chains):
-            for r, v in enumerate(factors):
-                chain[r + 1].append(sum(chain[r][a] * c[v][i - 1 - a] for a in range(i)))
-            if i > m.time_power:
-                slots[j] += Fraction(m.coeff) * chain[-1][i - 1 - m.time_power]
-        for cj, slot in zip(c, slots):
-            cj.append(slot / i)
-    return c
-
-
 @SETTINGS
 @given(integer_problems())
 def test_alpha_one_matches_the_exact_recursion(problem):
-    # Every rounding in solve is bounded relative to the majorant problem
-    # (absolute coefficients and initial values), whose exact coefficient M_k
-    # bounds every product and sum that forms c_k.
-    field, n = problem.field, problem.degree
-    exact = _exact_coefficients(field, problem.y0, n)
-    majorant = _exact_coefficients(
-        dataclasses.replace(field, equations=tuple(
-            tuple(dataclasses.replace(m, coeff=abs(m.coeff)) for m in eq)
-            for eq in field.equations
-        )),
-        [abs(v) for v in problem.y0],
-        n,
-    )
-    for s, want, scale in zip(solve(problem).series, exact, majorant):
-        for k, (got, e, m) in enumerate(zip(s.coeffs, want, scale)):
-            if m == 0:
-                assert got == 0.0, (k, got)
-            else:
-                assert abs(Fraction(got) - e) <= (k + 1) * Fraction(1, 2**52) * m, (k, got, e, m)
+    assert rounding_misses(problem, solve(problem).series) == []

@@ -45,7 +45,7 @@ SURFACE = {
     "parse_model_config": ["document"],
     "rk4_integrate": ["field", "y0", "t0", "t_end", "h", "record_every"],
     "sir_field": ["p1", "p2"],
-    "sir_model": ["p1", "p2", "initial", "alpha", "t0"],
+    "sir_model": ["p1", "p2", "initial"],
     "solve": ["problem"],
     "verify_defect_conditions": ["solution", "problem"],
 }
