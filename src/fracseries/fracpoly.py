@@ -128,8 +128,9 @@ class FractionalPolynomial:
         The result of differentiating a constant is the zero constant.  Each
         call builds its own Gamma table; nothing is cached on the polynomial.
         """
-        a = self.alpha
-        return _caputo_step(self, [gamma(i * a + 1.0) for i in range(len(self.coeffs))])
+        a, c = self.alpha, self.coeffs
+        g = [gamma(i * a + 1.0) for i in range(len(c))]
+        return _from_floats(a, self.t0, tuple(_caputo_step(c, g)))
 
     def rl_integral(self) -> "FractionalPolynomial":
         """Riemann-Liouville integral of order alpha, applied term-wise.
@@ -175,12 +176,12 @@ def _from_floats(alpha: float, t0: float, coeffs: tuple[float, ...]) -> Fraction
     return p
 
 
-def _caputo_step(p: FractionalPolynomial, g: Sequence[float]) -> FractionalPolynomial:
-    """`p.caputo_derivative()` from g[i] = Gamma(i*alpha + 1), given for at
-    least every stored index of p: the one place the step is written."""
-    c = p.coeffs
-    new = tuple([ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)]) or (0.0,)
-    return _from_floats(p.alpha, p.t0, new)
+def _caputo_step(c: Sequence[float], g: Sequence[float]) -> list[float]:
+    """The coefficients of the Caputo derivative of the series with
+    coefficients c, from g[i] = Gamma(i*alpha + 1) given for at least every
+    index of c: the one place the step is written.  `caputo_derivative`
+    wraps the list in a polynomial; the defect oracle chains it on floats."""
+    return [ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)] or [0.0]
 
 
 @lru_cache(maxsize=64)

@@ -21,16 +21,19 @@ bit-identical to recomposing the whole field at every step.  `solve` builds
 no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
 path (`compose_series`, then repeated Caputo derivatives) and share no
 shortcut with `solve`.  The oracle walks one derivative chain per defect
-component, reading every limit on the way, in O(n^2) arithmetic.  One Gamma
-table per call serves every chain, so a check makes dim*(n + 1) + n `gamma`
-calls (n + 1 per series for its derivative in the defect) and caches
-nothing on a polynomial.  Polynomials on these paths are built from floats
-the library computed, without re-validation.
+component, reading every limit on the way, in O(n^2) arithmetic.  The chains
+run on plain float lists through `fracpoly._caputo_step`, the one step
+kernel that `caputo_derivative` also wraps, so no chain builds a
+polynomial.  One Gamma table per call serves every chain, so a check makes
+dim*(n + 1) + n `gamma` calls (n + 1 per series for its derivative in the
+defect) and caches nothing on a polynomial.  Polynomials on these paths are built from floats the library
+computed, without re-validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .field import PolynomialVectorField, compose_series
 from .fracpoly import (FractionalPolynomial, _caputo_step, _check_degree, _check_grid,
@@ -105,10 +108,12 @@ def verify_defect_conditions(
     entries are ~0 for a correct solution; this is the independent oracle
     for the recursion in `solve`.
 
-    Each component's derivatives form one chain, walked once, with one Gamma
-    table for the problem's alpha: the k-th polynomial on a chain is the one
-    `sequential_caputo_limit(k)` builds, so the result is bit-identical to a
-    per-index rebuild at O(n^2) instead of O(n^3) cost.
+    Each component's derivatives form one chain, walked once on its
+    coefficient list through `_caputo_step` with one Gamma table for the
+    problem's alpha: the k-th list on a chain holds the coefficients of the
+    polynomial `sequential_caputo_limit(k)` builds, so the result is
+    bit-identical to a per-index rebuild at O(n^2) instead of O(n^3) cost.
+    No polynomial is built along a chain.
 
     Raises:
         GridMismatchError: unless every series shares the problem's alpha and t0.
@@ -118,22 +123,24 @@ def verify_defect_conditions(
         _check_same_grid(s, problem)
     if n == 0:
         return []
-    defect = build_defect(problem.field, list(solution.series), n - 1)
+    rows: list[Sequence[float]] = [
+        d.coeffs for d in build_defect(problem.field, list(solution.series), n - 1)
+    ]
     g = [gamma(i * a + 1.0) for i in range(n)]
-    out = [_largest_limit(defect)]
+    out = [_largest_limit(rows)]
     for _ in range(n - 1):
-        defect = [_caputo_step(d, g) for d in defect]
-        out.append(_largest_limit(defect))
+        rows = [_caputo_step(c, g) for c in rows]
+        out.append(_largest_limit(rows))
     return out
 
 
-def _largest_limit(defect: list[FractionalPolynomial]) -> float:
+def _largest_limit(rows: list[Sequence[float]]) -> float:
     """max over the components of |limit at t0+|, NaN if any limit is NaN.
 
     `max` alone drops a NaN that is not first, since every comparison with
     NaN is false.  The limits are non-negative, so their sum is NaN exactly
     when one of them is.
     """
-    limits = [abs(d.coeffs[0]) for d in defect]
+    limits = [abs(c[0]) for c in rows]
     total = sum(limits)
     return total if total != total else max(limits, default=0.0)

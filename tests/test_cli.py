@@ -599,15 +599,19 @@ def test_output_matches_golden_files(tmp_path: Path, monkeypatch, case):
 
 # Since Python 3.12 a float sum() compensates its rounding, so one innocent
 # sum() in a hot path would print other bits under another interpreter.  The
-# children print a hash of every bit of SIR's degree-160 coefficients.
+# children print a hash of every bit of SIR's degree-160 coefficients and of
+# the oracle's limits at degree 40.
 SIR_DEG160_HASHES = """
 import hashlib
-from fracseries import SeriesProblem, sir_model, solve
+from fracseries import SeriesProblem, sir_model, solve, verify_defect_conditions
 spec = sir_model()
 for alpha in (0.5, 1.0):
     problem = SeriesProblem(field=spec.field(), y0=spec.initial, alpha=alpha, t0=0.0, degree=160)
     bits = " ".join(c.hex() for s in solve(problem).series for c in s.coeffs)
     print(alpha, hashlib.sha256(bits.encode()).hexdigest())
+    problem = SeriesProblem(field=spec.field(), y0=spec.initial, alpha=alpha, t0=0.0, degree=40)
+    bits = " ".join(v.hex() for v in verify_defect_conditions(solve(problem), problem))
+    print(alpha, "oracle", hashlib.sha256(bits.encode()).hexdigest())
 """
 
 
@@ -667,5 +671,5 @@ def test_output_bits_match_under_other_interpreters(tmp_path: Path):
                     f"{python} writes other bytes than {golden / name}"
                 )
         assert run(exe, "-c", SIR_DEG160_HASHES) == want, (
-            f"{python} gives other bits for SIR's degree-160 coefficients"
+            f"{python} gives other bits for SIR's degree-160 coefficients or degree-40 limits"
         )

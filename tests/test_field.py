@@ -215,11 +215,6 @@ class TestPlan:
         field = sir_field(0.001, 0.072)
         assert field.plan is field.plan
 
-    def test_evaluate_field_leaves_the_recurrence_unbuilt(self):
-        field = sir_field(0.001, 0.072)
-        evaluate_field(field, 0.5, (620.0, 10.0, 70.0))
-        assert "recurrence" not in field.plan.__dict__
-
     def test_pickles_after_evaluation(self):
         field = sir_field(0.001, 0.072)
         problem = SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=0.5, t0=0.0, degree=30)
@@ -243,10 +238,9 @@ class TestPlan:
             [v.hex() for v in s] for s in want.states
         ]
 
-    def test_solve_and_evaluate_field_leave_rk4_unbuilt(self):
+    def test_solve_leaves_rk4_unbuilt(self):
         field = sir_field(0.001, 0.072)
         solve(SeriesProblem(field=field, y0=(620.0, 10.0, 70.0), alpha=1.0, t0=0.0, degree=9))
-        evaluate_field(field, 0.5, (620.0, 10.0, 70.0))
         assert "rk4" not in field.plan.__dict__
 
     def test_rk4_integrate_leaves_the_recurrence_unbuilt(self):

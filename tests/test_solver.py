@@ -550,16 +550,18 @@ def test_solve_builds_no_defect(sir_spec, monkeypatch, which):
 
 def _limits_per_index(problem, series):
     """The oracle as first written: for every index i, rebuild the (i-1)-fold
-    derivative chain of each defect component from scratch. O(n^3);
+    derivative chain of each defect component from scratch and take the
+    largest absolute limit, NaN if any limit is NaN. O(n^3);
     `verify_defect_conditions` must reproduce it bit for bit."""
     n = problem.degree
     if n == 0:
         return []
     defect = build_defect(problem.field, list(series), n - 1)
-    return [
-        max(abs(d.sequential_caputo_limit(i - 1)) for d in defect)
-        for i in range(1, n + 1)
-    ]
+    out = []
+    for i in range(1, n + 1):
+        limits = [abs(d.sequential_caputo_limit(i - 1)) for d in defect]
+        out.append(math.nan if any(map(math.isnan, limits)) else max(limits))
+    return out
 
 
 def _assert_oracle_matches_per_index(problem, solution):
@@ -616,6 +618,24 @@ def test_perturbed_series_oracle_bit_identical_to_per_index_limits(sir_spec, alp
     _assert_oracle_matches_per_index(problem, perturbed)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_non_finite_series_oracle_bit_identical_to_per_index_limits(sir_spec, seed):
+    # inf, NaN and signed zeros spread through the composition and every
+    # derivative step as products, quotients and inf - inf.
+    rng = random.Random(3000 + seed)
+    problem = (_sir_problem(sir_spec, rng.choice([0.5, 1.0]), 12) if seed % 2 == 0
+               else _random_problem(seed, 12))
+    solution = solve(problem)
+    series = [list(s.coeffs) for s in solution.series]
+    for _ in range(rng.randint(1, 4)):
+        row = rng.choice(series)
+        row[rng.randrange(len(row))] = rng.choice(_SPECIAL)
+    injected = dataclasses.replace(solution, series=tuple(
+        FractionalPolynomial(problem.alpha, problem.t0, c) for c in series
+    ))
+    _assert_oracle_matches_per_index(problem, injected)
+
+
 def test_oracle_gamma_calls_are_linear(sir_spec, monkeypatch):
     # One table of n + 1 entries per series (its derivative in
     # `build_defect`) and one of n entries that every defect chain reads.
@@ -642,10 +662,10 @@ def test_oracle_gamma_calls_are_linear(sir_spec, monkeypatch):
 
 
 def test_library_results_hold_only_their_fields(sir_spec, monkeypatch):
-    # Derivative chains, the defect, the solution and every polynomial on the
-    # oracle's chains carry alpha, t0 and coeffs and nothing else, also after
-    # being differentiated, so each equals, hashes and pickles as a fresh
-    # construction does.
+    # Derivative chains, the defect and the solution carry alpha, t0 and
+    # coeffs and nothing else, also after being differentiated, so each
+    # equals, hashes and pickles as a fresh construction does.  The oracle's
+    # chain steps are float lists, one per defect component and step.
     import fracseries.solver
 
     n = 12
@@ -660,8 +680,9 @@ def test_library_results_hold_only_their_fields(sir_spec, monkeypatch):
                         lambda *args: steps.append(step(*args)) or steps[-1])
     verify_defect_conditions(solution, problem)
     assert len(steps) == 3 * (n - 1)
+    assert all(type(c) is list and all(type(v) is float for v in c) for c in steps)
     defect = build_defect(problem.field, solution.series, n - 1)
-    for p in (*solution.series, *chain, *defect, *steps):
+    for p in (*solution.series, *chain, *defect):
         assert set(vars(p)) == {"alpha", "t0", "coeffs"}
         fresh = FractionalPolynomial(p.alpha, p.t0, p.coeffs)
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
