@@ -28,7 +28,7 @@ from .conformable import discrepancy_report
 from .field import PolynomialVectorField
 from .metrics import comparison_table, default_sample_times
 from .models import ModelConfigError, ModelSpec, parse_model_config, sir_model
-from .rk4 import rk4_integrate
+from .rk4 import _GRID_TOLERANCE, rk4_integrate
 from .solver import SeriesProblem, SeriesSolution, solve
 
 
@@ -203,7 +203,7 @@ def _cmd_compare(args: argparse.Namespace) -> Output:
         file_names[file_name] = name
     h = args.rk_step
     record_every = round(0.1 / h)
-    if abs(record_every * h - 0.1) > 1e-12:
+    if abs(record_every * h - 0.1) > _GRID_TOLERANCE:
         raise UsageError(f"--rk-step {h} does not divide the 0.1 sample spacing")
     field = spec.field()
     solution = _solve(spec, field, 1.0, args.degree)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .fracpoly import (FractionalPolynomial, _check_degree, _check_same_grid, _from_floats,
-                       add_scaled, multiply_truncated)
+from .fracpoly import (_MAX_CHAIN, FractionalPolynomial, _check_degree, _check_same_grid,
+                       _from_floats, add_scaled, multiply_truncated)
 
 
 # FieldPlan builds one node per state factor, so a term's state degree is capped.
@@ -168,18 +168,16 @@ class FieldPlan:
         return lines + [f" return [{', '.join(f'y{j}' for j in dim)}]"]
 
     def rk4_source(self) -> list[str]:
-        """Lines of `rk4(y, k1, t0, h, n_steps, record_every)`: RK4's loop,
-        returning the recorded times and states.  `k1` is f(t0, y), the first
-        step's first stage.  Each stage inlines `_point_lines` on one local per
-        state component, so its float operations are those of `evaluate_field`.
-        """
+        """Lines of `rk4(y, t0, h, n_steps, record_every)`: RK4's loop,
+        returning the recorded times and states.  Each of its four stages
+        inlines `_point_lines` on one local per state component, so its float
+        operations are those of `evaluate_field`."""
         dim, timed = range(len(self.terms)), any(t[1] for ts in self.terms for t in ts)
-        y, k1 = "".join(f"y{j}, " for j in dim), "".join(f"k1_{j}, " for j in dim)
-        lines = ["def rk4(y, k1, t0, h, n_steps, record_every):", f" [{y}], [{k1}] = y, k1",
+        y = "".join(f"y{j}, " for j in dim)
+        lines = ["def rk4(y, t0, h, n_steps, record_every):", f" [{y}] = y",
                  " hh, h6 = 0.5 * h, h / 6.0", f" times, states = [t0], [({y})]",
-                 " for k in range(1, n_steps + 1):", *["  t = t0 + (k - 1) * h"] * timed]
-        first = ["   u = t - t0"] * timed + self._point_lines("   ", "k1_{}", "y{}")
-        lines += ["  if k > 1:", *first] if first else []
+                 " for k in range(1, n_steps + 1):", *["  t = t0 + (k - 1) * h"] * timed,
+                 *["  u = t - t0"] * timed, *self._point_lines("  ", "k1_{}", "y{}")]
         for stage, step in ((2, "hh"), (3, "hh"), (4, "h")):
             lines += [f"  u = t + {step} - t0"] * (timed and stage != 3)
             lines += [f"  x{j} = y{j} + {step} * k{stage - 1}_{j}" for j in dim]
@@ -201,9 +199,9 @@ class FieldPlan:
                 powers = [("u", time_power)] if time_power else []
                 powers += [(state.format(j), e) for j, e in factors]
                 f = [f"c{i}_{m}"] + [b + (f" ** {e}" if e > 1 else "") for b, e in powers]
-                while len(f) > 64:  # bounds the depth the compiler recurses into
-                    lines.append(f"{indent}v = {' * '.join(f[:64])}")
-                    f = ["v"] + f[64:]
+                while len(f) > _MAX_CHAIN:
+                    lines.append(f"{indent}v = {' * '.join(f[:_MAX_CHAIN])}")
+                    f = ["v"] + f[_MAX_CHAIN:]
                 lines.append(f"{indent}{out.format(i)} += {' * '.join(f)}")
         return lines
 

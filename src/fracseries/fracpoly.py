@@ -28,6 +28,9 @@ from typing import Any, Callable, Sequence
 
 from .special import gamma
 
+# Links (factors, Horner steps) per generated statement: bounds compiler recursion.
+_MAX_CHAIN = 64
+
 
 class GridMismatchError(ValueError):
     """Raised when two polynomials do not share the same alpha and t0 grid."""
@@ -197,12 +200,12 @@ def _horner(n: int) -> Callable[[tuple[float, ...], float], float]:
 def _horner_source(n: int) -> list[str]:
     """Lines of `horner(c, x)` for n coefficients: the Horner loop
     `acc = 0.0`, then `acc = acc * x + c[i]` for i = n-1 down to 0, written
-    out with the same float operations in the same order, 64 steps per
-    statement."""
+    out with the same float operations in the same order, `_MAX_CHAIN` steps
+    per statement."""
     lines = ["def horner(c, x):", " acc = 0.0"]
-    for top in range(n - 1, -1, -64):  # bounds the depth the compiler recurses into
+    for top in range(n - 1, -1, -_MAX_CHAIN):
         expr = "acc"
-        for i in range(top, max(top - 64, -1), -1):
+        for i in range(top, max(top - _MAX_CHAIN, -1), -1):
             expr = f"({expr} * x + c[{i}])"
         lines.append(f" acc = {expr[1:-1]}")
     return lines + [" return acc"]

@@ -6,9 +6,7 @@ from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from .fracpoly import FractionalPolynomial
-from .rk4 import Trajectory
-
-_GRID_TOLERANCE = 1e-12
+from .rk4 import _GRID_TOLERANCE, Trajectory
 
 
 class TableRow(NamedTuple):

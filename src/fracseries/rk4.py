@@ -4,8 +4,8 @@ Only alpha = 1 semantics are supported: a monomial time power p contributes
 (t - t0)^p.  This is the reference the series solutions are compared against
 on integer-order problems.  The fixed-step loop is generated once per field
 (`FieldPlan.rk4`, written by `FieldPlan.rk4_source()`), with the field's
-monomials inlined in every stage; its trajectories are bit-identical to
-calling `evaluate_field` per stage.
+monomials inlined in all four stages alike; its trajectories are
+bit-identical to calling `evaluate_field` per stage.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .field import PolynomialVectorField, evaluate_field
+
+# The one grid tolerance, for step counts here, `compare`'s step and sample times.
+_GRID_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,10 @@ def rk4_integrate(
     if not math.isfinite(steps):
         raise ValueError(f"step count {steps} for step {h} is not finite")
     n_steps = round(steps)
-    if n_steps == 0 or abs(n_steps * h - span) > 1e-12:
+    if n_steps == 0 or abs(n_steps * h - span) > _GRID_TOLERANCE:
         raise ValueError(f"step {h} does not divide the interval length {span}")
 
     y = [float(v) for v in y0]
-    # The one state check; its value is the first step's k1.
-    k1 = evaluate_field(field, 0.0, y)
-    times, states = field.plan.rk4(y, k1, t0, h, n_steps, record_every)
+    evaluate_field(field, 0.0, y)  # the one state check, before any compile
+    times, states = field.plan.rk4(y, t0, h, n_steps, record_every)
     return Trajectory(times=tuple(times), states=tuple(states))

@@ -1,16 +1,15 @@
-def rk4(y, k1, t0, h, n_steps, record_every):
- [y0, y1, y2, ], [k1_0, k1_1, k1_2, ] = y, k1
+def rk4(y, t0, h, n_steps, record_every):
+ [y0, y1, y2, ] = y
  hh, h6 = 0.5 * h, h / 6.0
  times, states = [t0], [(y0, y1, y2, )]
  for k in range(1, n_steps + 1):
-  if k > 1:
-   k1_0 = 0.0
-   k1_0 += c0_0 * y0 * y1
-   k1_1 = 0.0
-   k1_1 += c1_0 * y0 * y1
-   k1_1 += c1_1 * y1
-   k1_2 = 0.0
-   k1_2 += c2_0 * y1
+  k1_0 = 0.0
+  k1_0 += c0_0 * y0 * y1
+  k1_1 = 0.0
+  k1_1 += c1_0 * y0 * y1
+  k1_1 += c1_1 * y1
+  k1_2 = 0.0
+  k1_2 += c2_0 * y1
   x0 = y0 + hh * k1_0
   x1 = y1 + hh * k1_1
   x2 = y2 + hh * k1_2

@@ -1,17 +1,16 @@
-def rk4(y, k1, t0, h, n_steps, record_every):
- [y0, y1, ], [k1_0, k1_1, ] = y, k1
+def rk4(y, t0, h, n_steps, record_every):
+ [y0, y1, ] = y
  hh, h6 = 0.5 * h, h / 6.0
  times, states = [t0], [(y0, y1, )]
  for k in range(1, n_steps + 1):
   t = t0 + (k - 1) * h
-  if k > 1:
-   u = t - t0
-   k1_0 = 0.0
-   k1_0 += c0_0 * u * y0 ** 2 * y1
-   k1_0 += c0_1 * u ** 2
-   k1_1 = 0.0
-   k1_1 += c1_0 * y0
-   k1_1 += c1_1
+  u = t - t0
+  k1_0 = 0.0
+  k1_0 += c0_0 * u * y0 ** 2 * y1
+  k1_0 += c0_1 * u ** 2
+  k1_1 = 0.0
+  k1_1 += c1_0 * y0
+  k1_1 += c1_1
   u = t + hh - t0
   x0 = y0 + hh * k1_0
   x1 = y1 + hh * k1_1

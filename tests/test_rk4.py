@@ -164,27 +164,32 @@ WIDE_FIELD = PolynomialVectorField(
 
 
 @pytest.mark.parametrize(
-    "field,y0,t0,record_every",
+    "field,y0,t0,record_every,h",
     [
-        (sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0, 1),
-        (sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0, 7),
-        (TIMED_FIELD, (0.75, -0.0), 1.5, 1),
-        (TIMED_FIELD, (0.75, 0.5), -1.25, 3),
-        (TIMED_FIELD, (-0.0, 0.5), -0.0, 1),
-        (PolynomialVectorField(equations=((),), variable_names=("y",)), (2.5,), 0.0, 1),
-        (WIDE_FIELD, tuple(1.0 + j / 1000 for j in range(70)), 0.5, 10),
-        (sir_field(0.001, 0.072), (-0.0, math.inf, math.nan), 0.0, 1),
-        (TIMED_FIELD, (math.inf, -0.0), 0.25, 1),
-        (TIMED_FIELD, (math.nan, 0.5), 0.25, 2),
+        (sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0, 1, 1e-3),
+        (sir_field(0.001, 0.072), (620.0, 10.0, 70.0), 0.0, 7, 1e-3),
+        (TIMED_FIELD, (0.75, -0.0), 1.5, 1, 1e-3),
+        (TIMED_FIELD, (0.75, 0.5), -1.25, 3, 1e-3),
+        (TIMED_FIELD, (-0.0, 0.5), -0.0, 1, 1e-3),
+        (PolynomialVectorField(equations=((),), variable_names=("y",)), (2.5,), 0.0, 1, 1e-3),
+        (WIDE_FIELD, tuple(1.0 + j / 1000 for j in range(70)), 0.5, 10, 1e-3),
+        (sir_field(0.001, 0.072), (-0.0, math.inf, math.nan), 0.0, 1, 1e-3),
+        (TIMED_FIELD, (math.inf, -0.0), 0.25, 1, 1e-3),
+        (TIMED_FIELD, (math.nan, 0.5), 0.25, 2, 1e-3),
+        # No state at all: the loop has no stage to compute.
+        (PolynomialVectorField(equations=(), variable_names=()), (), 0.0, 1, 1e-3),
+        # One step: only k = 1 runs, whose first stage sees u = 0.0.
+        (TIMED_FIELD, (0.75, 0.5), -0.0, 1, 1.0),
     ],
 )
-def test_trajectory_bit_identical_to_evaluate_field_loop(field, y0, t0, record_every):
-    traj = rk4_integrate(field, y0, t0, t0 + 1.0, 1e-3, record_every)
-    want = _rk4_reference(field, y0, t0, t0 + 1.0, 1e-3)[::record_every]
+def test_trajectory_bit_identical_to_evaluate_field_loop(field, y0, t0, record_every, h):
+    traj = rk4_integrate(field, y0, t0, t0 + 1.0, h, record_every)
+    want = _rk4_reference(field, y0, t0, t0 + 1.0, h)[::record_every]
     assert [[v.hex() for v in s] for s in traj.states] == [
         [v.hex() for v in s] for s in want
     ]
-    times = [t0] + [t0 + k * 1e-3 for k in range(record_every, 1001, record_every)]
+    n_steps = round(1.0 / h)
+    times = [t0] + [t0 + k * h for k in range(record_every, n_steps + 1, record_every)]
     assert [t.hex() for t in traj.times] == [t.hex() for t in times]
 
 
