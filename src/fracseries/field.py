@@ -223,6 +223,9 @@ def evaluate_field(
     Raises:
         ValueError: if len(y) != field.dimension or the time value is negative,
             NaN or infinite.
+        OverflowError: if a finite state or time value raised to a power of
+            2 or more exceeds the double range (`**` raises where `*` gives
+            inf; an infinite value gives inf).
     """
     if len(y) != field.dimension:
         raise ValueError(f"state has length {len(y)}, expected {field.dimension}")

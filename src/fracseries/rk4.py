@@ -52,6 +52,9 @@ def rk4_integrate(
         ValueError: for a non-finite t0, t_end, h or step count, a
             non-positive h, a record_every that is not a positive int,
             t_end <= t0, or a step that does not divide the interval.
+        OverflowError: as `evaluate_field`, when a power in the field
+            overflows at some stage (for y' = y^2, once a stage's state
+            passes about 1.3e154).
     """
     for name, value in (("t0", t0), ("t_end", t_end), ("h", h)):
         if not math.isfinite(value):

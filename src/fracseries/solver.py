@@ -21,23 +21,25 @@ bit-identical to recomposing the whole field at every step.  `solve` builds
 no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
 path (`compose_series`, then repeated Caputo derivatives) and share no
 shortcut with `solve`.  The oracle walks one derivative chain per defect
-component, reading every limit on the way, in O(n^2) arithmetic.  The chains
-run on plain float lists through `fracpoly._caputo_step`, the one step
-kernel that `caputo_derivative` also wraps, so no chain builds a
-polynomial.  One Gamma table per call serves every chain, so a check makes
-dim*(n + 1) + n `gamma` calls (n + 1 per series for its derivative in the
-defect) and caches nothing on a polynomial.  Polynomials on these paths are built from floats the library
-computed, without re-validation.
+component, reading every limit on the way, in O(n^2) arithmetic.  The
+defect's derivatives and the chains run on plain float lists through
+`fracpoly._caputo_step`, the one step kernel that `caputo_derivative` also
+wraps, so no step builds a polynomial.  One Gamma table per call serves
+every series' derivative and every chain, so a check of a degree-n solution
+makes n + 1 `gamma` calls, and `build_defect` one table sized to its longest
+series; nothing is cached on a polynomial.  Polynomials on these paths are
+built from floats the library computed, without re-validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .field import PolynomialVectorField, compose_series
 from .fracpoly import (FractionalPolynomial, _caputo_step, _check_degree, _check_grid,
-                       _check_same_grid, _from_floats, add_scaled)
+                       _check_same_grid, _from_floats)
 from .special import gamma
 
 
@@ -74,10 +76,25 @@ def build_defect(
     candidate: list[FractionalPolynomial] | tuple[FractionalPolynomial, ...],
     max_degree: int,
 ) -> list[FractionalPolynomial]:
-    """Defect D^alpha P - f(t, P) per equation, truncated at max_degree."""
+    """Defect D^alpha P - f(t, P) per equation, truncated at max_degree.
+
+    Component j holds the bits of
+    `add_scaled(p.caputo_derivative(), f_j, 1.0, -1.0).truncated(max_degree)`
+    for its series p, but the derivatives share one Gamma table per call,
+    with one entry, and one `gamma` call, per coefficient of the longest
+    series.
+
+    Raises:
+        ValueError: as `compose_series` does, before any Gamma value is formed.
+        GridMismatchError: as `compose_series` does.
+    """
     composed = compose_series(field, candidate, max_degree)
-    return [add_scaled(p.caputo_derivative(), fp, 1.0, -1.0).truncated(max_degree)
-            for p, fp in zip(candidate, composed)]
+    if not composed:
+        return []
+    a = candidate[0].alpha
+    g = [gamma(i * a + 1.0) for i in range(max(len(p.coeffs) for p in candidate))]
+    return [_from_floats(p.alpha, p.t0, tuple(row))
+            for p, row in zip(candidate, _defect_rows(candidate, composed, g, max_degree))]
 
 
 def solve(problem: SeriesProblem) -> SeriesSolution:
@@ -109,29 +126,49 @@ def verify_defect_conditions(
     for the recursion in `solve`.
 
     Each component's derivatives form one chain, walked once on its
-    coefficient list through `_caputo_step` with one Gamma table for the
-    problem's alpha: the k-th list on a chain holds the coefficients of the
-    polynomial `sequential_caputo_limit(k)` builds, so the result is
-    bit-identical to a per-index rebuild at O(n^2) instead of O(n^3) cost.
-    No polynomial is built along a chain.
+    coefficient list through `_caputo_step`: the k-th list on a chain holds
+    the coefficients of the polynomial `sequential_caputo_limit(k)` builds on
+    `build_defect`'s component, so the result is bit-identical to a per-index
+    rebuild at O(n^2) instead of O(n^3) cost.  No polynomial is built along a
+    chain.  One Gamma table per call serves the defect's derivatives and
+    every chain; it covers the n chain indices and every index of every
+    series, so a solution of degree n costs n + 1 `gamma` calls.
 
     Raises:
         GridMismatchError: unless every series shares the problem's alpha and t0.
     """
-    n, a = problem.degree, problem.alpha
-    for s in solution.series:
+    n, a, series = problem.degree, problem.alpha, solution.series
+    for s in series:
         _check_same_grid(s, problem)
     if n == 0:
         return []
-    rows: list[Sequence[float]] = [
-        d.coeffs for d in build_defect(problem.field, list(solution.series), n - 1)
-    ]
-    g = [gamma(i * a + 1.0) for i in range(n)]
+    composed = compose_series(problem.field, series, n - 1)
+    g = [gamma(i * a + 1.0) for i in range(max([n, *(len(s.coeffs) for s in series)]))]
+    rows = _defect_rows(series, composed, g, n - 1)
     out = [_largest_limit(rows)]
     for _ in range(n - 1):
         rows = [_caputo_step(c, g) for c in rows]
         out.append(_largest_limit(rows))
     return out
+
+
+def _defect_rows(
+    series: Sequence[FractionalPolynomial],
+    composed: Sequence[FractionalPolynomial],
+    g: Sequence[float],
+    max_degree: int,
+) -> list[list[float]]:
+    """D^alpha p - f_j per equation as float lists, truncated at max_degree,
+    from the series, their composition f_j and g[i] = Gamma(i*alpha + 1)
+    given for every index of every series.  The float operations are those
+    of `add_scaled(p.caputo_derivative(), f_j, 1.0, -1.0).truncated(max_degree)`,
+    so every bit, NaN signs included, is the same."""
+    return [
+        [1.0 * x + -1.0 * y
+         for x, y in zip_longest(_caputo_step(p.coeffs, g), fp.coeffs, fillvalue=0.0)]
+        [: max_degree + 1]
+        for p, fp in zip(series, composed)
+    ]
 
 
 def _largest_limit(rows: list[Sequence[float]]) -> float:

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from fracseries import SeriesProblem, cli, sir_model, solve
+from fracseries import (Monomial, PolynomialVectorField, SeriesProblem, cli,
+                        evaluate_field, rk4_integrate, sir_model, solve)
 from sir_reference import ABS_ERROR_AT_1, COEFFS_DEG9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -191,6 +192,30 @@ class TestSolve:
         # Gamma(172) exceeds the double range, so the Gamma table cannot be built.
         out = tmp_path / "out"
         cp = run_cli("solve", "--alpha", "1", "--degree", "200", "--out-dir", str(out))
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "Traceback" not in cp.stderr
+        assert not out.exists()
+
+    def test_overflowing_state_power_is_clean_exit_1(self, tmp_path: Path):
+        # `y ** 2` raises OverflowError for a finite y past about 1.3e154,
+        # where `y * y` would give inf; an infinite y gives inf.  RK4 keeps
+        # `**` so that its bits stay those of `evaluate_field`.
+        field = PolynomialVectorField(equations=((Monomial(1.0, (2,)),),),
+                                      variable_names=("y",))
+        assert evaluate_field(field, 0.0, [math.inf]) == [math.inf]
+        with pytest.raises(OverflowError):
+            evaluate_field(field, 0.0, [1e200])
+        # 1e100 passes the state check; a later stage overflows in the loop.
+        with pytest.raises(OverflowError):
+            rk4_integrate(field, (1e100,), 0.0, 1.0, 0.1)
+        model = tmp_path / "square.json"
+        model.write_text(json.dumps({
+            "variables": ["y"], "initial": [1e100], "alpha": 1.0, "t0": 0.0,
+            "equations": [[{"coeff": 1.0, "powers": [2]}]],
+        }))
+        out = tmp_path / "out"
+        cp = run_cli("compare", "--model", str(model), "--out-dir", str(out))
         assert cp.returncode == 1
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "Traceback" not in cp.stderr

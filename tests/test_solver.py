@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import importlib
 import math
 import pickle
@@ -14,6 +15,7 @@ from fracseries import (
     Monomial,
     PolynomialVectorField,
     SeriesProblem,
+    add_scaled,
     build_defect,
     compose_series,
     gamma,
@@ -636,10 +638,76 @@ def test_non_finite_series_oracle_bit_identical_to_per_index_limits(sir_spec, se
     _assert_oracle_matches_per_index(problem, injected)
 
 
+def _defect_by_polynomials(field, series, max_degree):
+    """`build_defect` written with one polynomial operation per step, each
+    series' derivative building its own Gamma table."""
+    composed = compose_series(field, series, max_degree)
+    return [add_scaled(p.caputo_derivative(), fp, 1.0, -1.0).truncated(max_degree)
+            for p, fp in zip(series, composed)]
+
+
+def _signed_bits(values):
+    # float.hex prints every NaN as "nan"; copysign reads its sign bit.
+    return [(v.hex(), math.copysign(1.0, v)) for v in values]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_build_defect_bit_identical_to_polynomial_operations(sir_spec, seed):
+    # Series cut short or run past the solved degree, so that the shared
+    # table is sized by the longest one, with inf, NaN of either sign and
+    # signed zeros injected, truncated both above and below their degree.
+    rng = random.Random(4000 + seed)
+    for _ in range(6):
+        degree = rng.randint(0, 14)
+        if rng.random() < 0.5:
+            problem = _sir_problem(sir_spec, rng.choice([0.5, 0.75, 1.0]), degree)
+        else:
+            dim = rng.randint(1, 4)
+            problem = SeriesProblem(
+                field=_rich_random_field(rng, dim),
+                y0=tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)),
+                alpha=rng.choice([0.3, 0.5, 1.0]), t0=rng.choice([0.0, 1.5]), degree=degree,
+            )
+        series = [list(s.coeffs[: rng.randint(1, degree + 1)])
+                  + [rng.uniform(-1.0, 1.0) for _ in range(rng.choice([0, 0, 3]))]
+                  for s in solve(problem).series]
+        for _ in range(rng.randint(0, 4)):
+            row = rng.choice(series)
+            row[rng.randrange(len(row))] = rng.choice(_SPECIAL + [-math.nan])
+        polys = [FractionalPolynomial(problem.alpha, problem.t0, c) for c in series]
+        for max_degree in sorted({0, degree // 2, max(degree - 1, 0), degree, degree + 3}):
+            got = build_defect(problem.field, polys, max_degree)
+            want = _defect_by_polynomials(problem.field, polys, max_degree)
+            assert [(d.alpha, d.t0, _signed_bits(d.coeffs)) for d in got] == [
+                (d.alpha, d.t0, _signed_bits(d.coeffs)) for d in want
+            ]
+
+
+# sha256 of the float.hex of `verify_defect_conditions` at degree 40, frozen
+# so that a moved bit fails under this interpreter too, not only when two
+# interpreters disagree.  The SIR digests are those `SIR_DEG160_HASHES` in
+# tests/test_cli.py prints for the oracle.
+ORACLE_DEG40_SHA256 = {
+    ("sir", 0.5): "84933cb759c225fc0cbf431621af1273b22d2c19ceb77093f204881bec7e59a6",
+    ("sir", 1.0): "2fb0452ec522118ca53cdb6de09287b6aba19f47d26d4364f26faa6c518860a0",
+    ("random", 0.5): "e1a95514bc8c8a1000dc80e2cbb8e36207fafe16dcf29f83033da37bb70436b7",
+}
+
+
+@pytest.mark.parametrize("which, alpha", sorted(ORACLE_DEG40_SHA256))
+def test_oracle_limits_keep_their_frozen_bits(sir_spec, which, alpha):
+    problem = _sir_problem(sir_spec, alpha, 40) if which == "sir" else _random_problem(7, 40)
+    assert problem.alpha == alpha
+    limits = verify_defect_conditions(solve(problem), problem)
+    digest = hashlib.sha256(" ".join(v.hex() for v in limits).encode()).hexdigest()
+    assert digest == ORACLE_DEG40_SHA256[which, alpha]
+
+
 def test_oracle_gamma_calls_are_linear(sir_spec, monkeypatch):
-    # One table of n + 1 entries per series (its derivative in
-    # `build_defect`) and one of n entries that every defect chain reads.
-    # Nothing is cached on a polynomial, so a repeated call costs the same.
+    # One table of n + 1 entries per check serves the defect's derivatives
+    # and every chain; `build_defect` builds one table sized to its longest
+    # series.  Nothing is cached on a polynomial, so a repeated call costs
+    # the same.
     import fracseries.fracpoly
     import fracseries.solver
 
@@ -654,18 +722,27 @@ def test_oracle_gamma_calls_are_linear(sir_spec, monkeypatch):
 
     monkeypatch.setattr(fracseries.fracpoly, "gamma", counting_gamma)
     monkeypatch.setattr(fracseries.solver, "gamma", counting_gamma)
-    dim = problem.field.dimension
+    table = [i * 0.5 + 1.0 for i in range(n + 1)]
+    uneven = [FractionalPolynomial(0.5, 0.0, s.coeffs[:m])
+              for s, m in zip(solution.series, (3, 7, 5))]
     for _ in range(2):
         calls.clear()
         verify_defect_conditions(solution, problem)
-        assert len(calls) == dim * (n + 1) + n
+        assert calls == table
+        calls.clear()
+        build_defect(problem.field, solution.series, n - 1)
+        assert calls == table
+        calls.clear()
+        build_defect(problem.field, uneven, n - 1)
+        assert calls == table[:7]
 
 
 def test_library_results_hold_only_their_fields(sir_spec, monkeypatch):
     # Derivative chains, the defect and the solution carry alpha, t0 and
     # coeffs and nothing else, also after being differentiated, so each
     # equals, hashes and pickles as a fresh construction does.  The oracle's
-    # chain steps are float lists, one per defect component and step.
+    # Caputo steps are float lists: one per series for the defect, then one
+    # per defect component and chain step.
     import fracseries.solver
 
     n = 12
@@ -679,7 +756,7 @@ def test_library_results_hold_only_their_fields(sir_spec, monkeypatch):
     monkeypatch.setattr(fracseries.solver, "_caputo_step",
                         lambda *args: steps.append(step(*args)) or steps[-1])
     verify_defect_conditions(solution, problem)
-    assert len(steps) == 3 * (n - 1)
+    assert len(steps) == 3 + 3 * (n - 1)
     assert all(type(c) is list and all(type(v) is float for v in c) for c in steps)
     defect = build_defect(problem.field, solution.series, n - 1)
     for p in (*solution.series, *chain, *defect):
