@@ -143,8 +143,16 @@ class FieldPlan:
         i-1 of f(t, P) to each list, in one loop over i that serves every
         degree and alpha.  Node k keeps its slots in `s{k}`, or is y_j's list
         if its parent is node 0, and sums slot i-1 from 0.0 in
-        `multiply_truncated`'s order, skipping zero parent slots; each
-        equation sums its terms from 0.0 in order, as `compose_series` does.
+        `multiply_truncated`'s order; each equation sums its terms from 0.0
+        in order, as `compose_series` does.
+
+        `multiply_truncated` skips zero parent slots.  The node sum does not
+        test each slot: it sums every product, and sums again with the skip
+        only when the result is NaN.  The bits are the same.  A sum from
+        +0.0 is never -0.0 under round-to-nearest, so a skipped product
+        0 * finite = ±0.0 leaves it unchanged.  A zero slot against inf or
+        NaN gives NaN, which every later addition keeps, so a sum that is not
+        NaN met no such pair; a NaN sum is summed again the skipping way.
         """
         dim = range(len(self.terms))
         lines = ["def recurrence(init, g):", *[f" y{j} = [init[{j}]]" for j in dim]]
@@ -154,8 +162,10 @@ class FieldPlan:
         lines += [" for i in range(1, len(g)):", "  ratio = g[i - 1] / g[i]"]
         for k, (parent, j) in enumerate(self.nodes[1:], 1):
             if parent != 0:
-                lines += ["  acc = 0.0", f"  for left, right in zip({name[parent]}, reversed(y{j})):",
-                          "   if left != 0.0:", "    acc += left * right", f"  s{k}.append(acc)"]
+                loop = f"for left, right in zip({name[parent]}, reversed(y{j})):"
+                lines += ["  acc = 0.0", f"  {loop}", "   acc += left * right",
+                          "  if acc != acc:", "   acc = 0.0", f"   {loop}",
+                          "    if left != 0.0:", "     acc += left * right", f"  s{k}.append(acc)"]
         for j, terms in enumerate(self.terms):
             lines.append("  acc = 0.0")
             for m, (_, p, node, _) in enumerate(terms):

@@ -95,7 +95,8 @@ def parse_model_config(document: str) -> ModelSpec:
 
     Raises:
         ModelConfigError: naming the offending field or violated invariant;
-            JSON syntax errors keep their line/column context.
+            JSON syntax errors keep their line/column context, and nesting
+            deeper than Python's recursion limit reads as invalid JSON.
     """
     import json  # here, so the commands that read no config never import it
 
@@ -103,6 +104,8 @@ def parse_model_config(document: str) -> ModelSpec:
         doc = json.loads(document)
     except ValueError as exc:  # also an integer literal too long to convert
         raise ModelConfigError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past Python's limit
+        raise ModelConfigError(f"invalid JSON: nested too deeply ({exc})") from exc
     _check_fields(doc, "top-level document",
                   {"variables", "initial", "alpha", "t0", "equations"})
 

@@ -54,7 +54,7 @@ def rk4_integrate(
             t_end <= t0, or a step that does not divide the interval.
         OverflowError: as `evaluate_field`, when a power in the field
             overflows at some stage (for y' = y^2, once a stage's state
-            passes about 1.3e154).
+            passes about 1.3e154); the message names RK4, h and [t0, t_end].
     """
     for name, value in (("t0", t0), ("t_end", t_end), ("h", h)):
         if not math.isfinite(value):
@@ -75,5 +75,9 @@ def rk4_integrate(
 
     y = [float(v) for v in y0]
     evaluate_field(field, 0.0, y)  # the one state check, before any compile
-    times, states = field.plan.rk4(y, t0, h, n_steps, record_every)
+    try:
+        times, states = field.plan.rk4(y, t0, h, n_steps, record_every)
+    except OverflowError as exc:
+        raise OverflowError(f"RK4 with step h={h} on [{t0}, {t_end}] overflowed: "
+                            "a state power exceeds the double range") from exc
     return Trajectory(times=tuple(times), states=tuple(states))

@@ -17,7 +17,11 @@ field (`FieldPlan.recurrence`), given the initial values and a Gamma table
 whose length fixes n: one loop over i in which each chain of partial
 products appends grid slot i-1 to its own float list, then every equation
 sums its terms in `compose_series`'s order, so the coefficients are
-bit-identical to recomposing the whole field at every step.  `solve` builds
+bit-identical to recomposing the whole field at every step.  A chain's dot
+product sums every product without `multiply_truncated`'s test for a zero
+slot, and sums again with that test only when the result is NaN: from +0.0
+a sum is never -0.0, so a product 0 * finite changes nothing, and 0 * inf
+or 0 * NaN leaves the sum NaN, so the bits are the same.  `solve` builds
 no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
 path (`compose_series`, then repeated Caputo derivatives) and share no
 shortcut with `solve`.  The oracle walks one derivative chain per defect

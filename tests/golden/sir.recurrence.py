@@ -7,8 +7,12 @@ def recurrence(init, g):
   ratio = g[i - 1] / g[i]
   acc = 0.0
   for left, right in zip(y0, reversed(y1)):
-   if left != 0.0:
-    acc += left * right
+   acc += left * right
+  if acc != acc:
+   acc = 0.0
+   for left, right in zip(y0, reversed(y1)):
+    if left != 0.0:
+     acc += left * right
   s2.append(acc)
   acc = 0.0
   acc += c0_0 * s2[i - 1]

@@ -7,13 +7,21 @@ def recurrence(init, g):
   ratio = g[i - 1] / g[i]
   acc = 0.0
   for left, right in zip(y0, reversed(y0)):
-   if left != 0.0:
-    acc += left * right
+   acc += left * right
+  if acc != acc:
+   acc = 0.0
+   for left, right in zip(y0, reversed(y0)):
+    if left != 0.0:
+     acc += left * right
   s2.append(acc)
   acc = 0.0
   for left, right in zip(s2, reversed(y1)):
-   if left != 0.0:
-    acc += left * right
+   acc += left * right
+  if acc != acc:
+   acc = 0.0
+   for left, right in zip(s2, reversed(y1)):
+    if left != 0.0:
+     acc += left * right
   s3.append(acc)
   acc = 0.0
   if i > 1: acc += c0_0 * s3[i - 2]

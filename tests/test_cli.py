@@ -220,6 +220,9 @@ class TestSolve:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "Traceback" not in cp.stderr
         assert not out.exists()
+        # The line names RK4, its step and its interval, not errno 34.
+        assert cp.stderr == ("error: RK4 with step h=0.0001 on [0.0, 1.0] overflowed: "
+                             "a state power exceeds the double range\n")
 
     def test_degree_160_at_alpha_one(self, tmp_path: Path):
         cp = run_cli("solve", "--alpha", "1", "--degree", "160", "--out-dir", str(tmp_path))
@@ -303,6 +306,16 @@ class TestInvalidInputWritesNothing:
         cp = run_cli("solve", "--model", str(bad), "--out-dir", str(out))
         self.assert_usage_error(cp, out)
         assert "finite" in cp.stderr
+
+    def test_deeply_nested_model_config(self, tmp_path: Path, capsys):
+        # json.loads raises RecursionError here, which is no ValueError.
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--model", str(bad), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: nested too deeply") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class _Reached(Exception):

@@ -432,6 +432,29 @@ def test_zero_slot_times_infinity_is_skipped(y0):
         assert solve(problem).series[0].coeffs[1:] == (0.0,) * 4
 
 
+@pytest.mark.parametrize("x0", [math.inf, -math.inf])
+@pytest.mark.parametrize("rate", [1.0, -1.0])
+def test_infinite_node_sums_without_zero_slots(x0, rate):
+    # No slot of x is zero.  At rate 1 every sum of x*z is inf of x0's sign
+    # and none is summed again; at rate -1 slot 1 of x*z is inf + -inf, a NaN
+    # that is summed again and must keep the skipping loop's bits.
+    field = PolynomialVectorField(
+        equations=((Monomial(1.0, (1, 1)),), (Monomial(rate, (0, 1)),)),
+        variable_names=("x", "z"),
+    )
+    problem = SeriesProblem(field=field, y0=(x0, 1.0), alpha=0.5, t0=0.0, degree=4)
+    _assert_matches_interpreted(problem)
+    x = solve(problem).series[0].coeffs
+    # float.hex reads every NaN as 'nan', so compare the sign bits as well.
+    g = [gamma(i * 0.5 + 1.0) for i in range(5)]
+    want = _interpreted_recurrence(field.plan, 4, (x0, 1.0), g)
+    assert [math.copysign(1.0, c) for c in x] == [math.copysign(1.0, c) for c in want[0]]
+    if rate > 0.0:
+        assert x == (x0,) * 5
+    else:
+        assert x[:2] == (x0, x0) and all(math.isnan(c) for c in x[2:])
+
+
 def test_signed_zero_sums_start_from_positive_zero():
     # -1 * 0.0 is -0.0, and 0.0 + -0.0 is 0.0: no coefficient may be -0.0.
     field = PolynomialVectorField(
