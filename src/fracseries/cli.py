@@ -8,7 +8,9 @@ Commands:
 
 All outputs are CSV with a header row, comma separators, LF line endings,
 and floats in shortest round-trip form (17 significant digits at most), so
-identical invocations produce byte-identical files.
+identical invocations produce byte-identical files.  A file that holds a
+value that is not finite (nan, inf or -inf) is still written as it is, and
+one `warning:` line on stderr names it and its first such line.
 
 Exit codes: 0 success, 1 domain/runtime error, 2 usage or config error.
 """
@@ -45,6 +47,11 @@ def main(argv: list[str] | None = None) -> int:
         out_dir, tables = args.func(args)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_csvs(out_dir, tables)
+        for name, _, rows in tables:
+            line = _first_nonfinite_line(rows)
+            if line:
+                print(f"warning: {out_dir / name}: line {line} is the first with a value "
+                      "that is not finite", file=sys.stderr)
         return 0
     except (UsageError, ModelConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -166,7 +173,8 @@ def _solve(spec: ModelSpec, field: PolynomialVectorField, alpha: float,
                                t0=spec.t0, degree=degree))
 
 
-Table = tuple[str, str, Iterable[tuple[str, ...]]]  # file name, header, rows
+Row = tuple[str | float, ...]  # floats are written by `_write_csv`
+Table = tuple[str, str, list[Row]]  # file name, header, rows
 Output = tuple[Path, list[Table]]  # directory, tables
 
 
@@ -211,24 +219,20 @@ def _cmd_compare(args: argparse.Namespace) -> Output:
     sample_times = default_sample_times(spec.t0)
     tables = []
     for j, file_name in enumerate(file_names):
-        rows = [
-            (_fmt(r.t), _fmt(r.reference), _fmt(r.approximation),
-             _fmt(r.absolute_error), _fmt(r.relative_error))
-            for r in comparison_table(trajectory, solution.series, j, sample_times)
-        ]
+        rows = list(comparison_table(trajectory, solution.series, j, sample_times))
         tables.append((file_name, "t,reference,acps,abs_err,rel_err", rows))
     return Path(args.out_dir), tables
 
 
 def _cmd_conformable(args: argparse.Namespace) -> Output:
     report = discrepancy_report(args.beta, args.alpha)
-    rows = [
-        ("alpha", _fmt(report.alpha)),
-        ("beta", _fmt(report.beta_exp)),
+    rows: list[Row] = [
+        ("alpha", report.alpha),
+        ("beta", report.beta_exp),
         ("m", str(report.m)),
-        ("caputo_coefficient", _fmt(report.caputo_coefficient)),
-        ("conformable_coefficient", _fmt(report.conformable_coefficient)),
-        ("ratio", _fmt(report.ratio)),
+        ("caputo_coefficient", report.caputo_coefficient),
+        ("conformable_coefficient", report.conformable_coefficient),
+        ("ratio", report.ratio),
     ]
     out = Path(args.out)
     return out.parent, [(out.name, "field,value", rows)]
@@ -245,7 +249,7 @@ def _coefficients(spec: ModelSpec, solution: SeriesSolution) -> tuple[str, list]
     rows = []
     for name, series in zip(spec.variable_names, solution.series):
         for index, c in enumerate(series.coeffs):
-            rows.append((name, str(index), _fmt(c)))
+            rows.append((name, str(index), c))
     return "variable,index,coefficient", rows
 
 
@@ -254,7 +258,7 @@ def _samples(
 ) -> tuple[str, list]:
     header = "t," + ",".join(spec.variable_names)
     rows = [
-        (_fmt(t),) + tuple(_fmt(s.evaluate(t)) for s in solution.series)
+        (t, *[s.evaluate(t) for s in solution.series])
         for t in times
     ]
     return header, rows
@@ -280,24 +284,30 @@ def _write_csvs(out_dir: Path, tables: list[Table]) -> None:
         raise
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[tuple[str, ...]]) -> Path:
+def _write_csv(path: Path, header: str, rows: Iterable[Row]) -> Path:
     """Write the table to a fresh temporary file beside `path` and return
-    that file's path; a write that fails part-way deletes it."""
+    that file's path; a write that fails part-way deletes it.  Strings are
+    written as they are, every other value in shortest round-trip form."""
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
             fh.write(header + "\n")
             for row in rows:
-                fh.write(",".join(row) + "\n")
+                fh.write(",".join([v if type(v) is str else repr(float(v)) for v in row]) + "\n")
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return tmp
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _first_nonfinite_line(rows: list[Row]) -> int | None:
+    """The file line (the header is line 1) of the first row holding a
+    number that is not finite, or None."""
+    for i, row in enumerate(rows, 2):
+        if not all(type(v) is str or math.isfinite(v) for v in row):
+            return i
+    return None
 
 
 def _safe(name: str) -> str:

@@ -182,9 +182,25 @@ def _from_floats(alpha: float, t0: float, coeffs: tuple[float, ...]) -> Fraction
 def _caputo_step(c: Sequence[float], g: Sequence[float]) -> list[float]:
     """The coefficients of the Caputo derivative of the series with
     coefficients c, from g[i] = Gamma(i*alpha + 1) given for at least every
-    index of c: the one place the step is written.  `caputo_derivative`
-    wraps the list in a polynomial; the defect oracle chains it on floats."""
+    index of c: the one place the whole-list step is written.
+    `caputo_derivative` wraps the list in a polynomial, and the defect
+    check reads it as floats.  `_caputo_limit` applies the same step to one entry
+    at a time, down one diagonal; a test pins it to k-fold use of this one."""
     return [ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)] or [0.0]
+
+
+def _caputo_limit(c: Sequence[float], k: int, g: Sequence[float]) -> float:
+    """Entry 0 of k-fold `_caputo_step` on c, with the same g, bit for bit:
+    the limit at t0+ of the k-fold sequential Caputo derivative.  It carries
+    c[k] down to slot 0 by `x * g[i] / g[i - 1]` for i = k down to 1, the
+    very operations the k steps apply on that diagonal, without building the
+    lists in between.  0.0 when k >= len(c), as the steps' `[0.0]` gives."""
+    if k >= len(c):
+        return 0.0
+    x = c[k]
+    for i in range(k, 0, -1):
+        x = x * g[i] / g[i - 1]
+    return x
 
 
 @lru_cache(maxsize=64)

@@ -24,14 +24,16 @@ a sum is never -0.0, so a product 0 * finite changes nothing, and 0 * inf
 or 0 * NaN leaves the sum NaN, so the bits are the same.  `solve` builds
 no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
 path (`compose_series`, then repeated Caputo derivatives) and share no
-shortcut with `solve`.  The oracle walks one derivative chain per defect
-component, reading every limit on the way, in O(n^2) arithmetic.  The
-defect's derivatives and the chains run on plain float lists through
-`fracpoly._caputo_step`, the one step kernel that `caputo_derivative` also
-wraps, so no step builds a polynomial.  One Gamma table per call serves
-every series' derivative and every chain, so a check of a degree-n solution
-makes n + 1 `gamma` calls, and `build_defect` one table sized to its longest
-series; nothing is cached on a polynomial.  Polynomials on these paths are
+shortcut with `solve`.  The defect's derivatives run on plain float lists
+through `fracpoly._caputo_step`, the whole-list step kernel that
+`caputo_derivative` also wraps.  The oracle reads limit k of each defect
+component off its own diagonal through `fracpoly._caputo_limit`, which
+carries coefficient k down to slot 0 with the step's operations in the
+order the k-fold derivative applies them, so no list or polynomial is built
+per derivative, and the check costs O(n^2) arithmetic.  One Gamma table per
+call serves every series' derivative and every limit, so a check of a
+degree-n solution makes n + 1 `gamma` calls, and `build_defect` one table
+sized to its longest series; nothing is cached on a polynomial.  Polynomials on these paths are
 built from floats the library computed, without re-validation.
 """
 
@@ -42,8 +44,8 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .field import PolynomialVectorField, compose_series
-from .fracpoly import (FractionalPolynomial, _caputo_step, _check_degree, _check_grid,
-                       _check_same_grid, _from_floats)
+from .fracpoly import (FractionalPolynomial, _caputo_limit, _caputo_step, _check_degree,
+                       _check_grid, _check_same_grid, _from_floats)
 from .special import gamma
 
 
@@ -109,9 +111,18 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
     components advancing in lockstep over a Gamma table of degree + 1 entries.
     Degree 0 returns the constant initial values.  No defect is built;
     `build_defect` and `verify_defect_conditions` check the result.
+
+    Raises:
+        OverflowError: if a Gamma value of the table is not a finite double
+            (at alpha 1, from degree 171 on); the message names the degree
+            and alpha as well as the Gamma argument.
     """
     a = problem.alpha
-    g = [gamma(i * a + 1.0) for i in range(problem.degree + 1)]
+    try:
+        g = [gamma(i * a + 1.0) for i in range(problem.degree + 1)]
+    except OverflowError as exc:
+        raise OverflowError(f"series of degree {problem.degree} at alpha {a} "
+                            f"overflowed: {exc}") from exc
     coeffs = problem.field.plan.recurrence(problem.y0, g)
     series = tuple(_from_floats(a, problem.t0, tuple(c)) for c in coeffs)
     return SeriesSolution(series=series, problem=problem)
@@ -129,14 +140,15 @@ def verify_defect_conditions(
     entries are ~0 for a correct solution; this is the independent oracle
     for the recursion in `solve`.
 
-    Each component's derivatives form one chain, walked once on its
-    coefficient list through `_caputo_step`: the k-th list on a chain holds
-    the coefficients of the polynomial `sequential_caputo_limit(k)` builds on
-    `build_defect`'s component, so the result is bit-identical to a per-index
-    rebuild at O(n^2) instead of O(n^3) cost.  No polynomial is built along a
-    chain.  One Gamma table per call serves the defect's derivatives and
-    every chain; it covers the n chain indices and every index of every
-    series, so a solution of degree n costs n + 1 `gamma` calls.
+    Limit k of a defect component d is `_caputo_limit(d, k, g)`: d[k]
+    carried down its diagonal by `x * g[i] / g[i - 1]` for i = k down to 1,
+    the operations by which the k-fold `_caputo_step` moves d[k] to slot 0.
+    So each limit is bit-identical to `sequential_caputo_limit(k)` on
+    `build_defect`'s component, at O(n^2) instead of O(n^3) cost in all,
+    and no derivative list or polynomial is built.  One Gamma table per call
+    serves the defect's derivatives and every limit; it covers the n limit
+    indices and every index of every series, so a solution of degree n costs
+    n + 1 `gamma` calls.
 
     Raises:
         GridMismatchError: unless every series shares the problem's alpha and t0.
@@ -149,11 +161,7 @@ def verify_defect_conditions(
     composed = compose_series(problem.field, series, n - 1)
     g = [gamma(i * a + 1.0) for i in range(max([n, *(len(s.coeffs) for s in series)]))]
     rows = _defect_rows(series, composed, g, n - 1)
-    out = [_largest_limit(rows)]
-    for _ in range(n - 1):
-        rows = [_caputo_step(c, g) for c in rows]
-        out.append(_largest_limit(rows))
-    return out
+    return [_largest_limit([_caputo_limit(d, k, g) for d in rows]) for k in range(n)]
 
 
 def _defect_rows(
@@ -175,13 +183,14 @@ def _defect_rows(
     ]
 
 
-def _largest_limit(rows: list[Sequence[float]]) -> float:
-    """max over the components of |limit at t0+|, NaN if any limit is NaN.
+def _largest_limit(values: Sequence[float]) -> float:
+    """max over the components of |limit at t0+|, NaN if any limit is NaN,
+    0.0 when there is no component.
 
     `max` alone drops a NaN that is not first, since every comparison with
-    NaN is false.  The limits are non-negative, so their sum is NaN exactly
-    when one of them is.
+    NaN is false.  The absolute limits are non-negative, so their sum is NaN
+    exactly when one of them is.
     """
-    limits = [abs(c[0]) for c in rows]
+    limits = [abs(x) for x in values]
     total = sum(limits)
     return total if total != total else max(limits, default=0.0)

@@ -231,6 +231,65 @@ class TestSolve:
         assert len(rows) == 3 * 161
 
 
+    @pytest.mark.parametrize("args, degree", [
+        (["solve", "--alpha", "1", "--degree", "171"], 171),
+        (["sweep", "--alpha", "1", "--alpha", "0.5", "--degree", "300"], 300),
+    ])
+    def test_gamma_overflow_names_degree_and_alpha(self, tmp_path: Path, capsys, args, degree):
+        # The line names the flags to change, not only the Gamma argument.
+        out = tmp_path / "out"
+        assert cli.main([*args, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: series of degree {degree} at alpha 1.0 overflowed: "
+            "gamma(172.0) exceeds the largest double\n")
+        assert not out.exists()
+
+
+class TestNonFiniteOutputWarns:
+    """A file holding nan or inf is written as it is, with one stderr line
+    naming the file and the first line holding such a value."""
+
+    def test_solve_far_past_the_radius(self, tmp_path: Path, capsys):
+        assert cli.main(["solve", "--t-end", "1e308", "--samples", "3",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {tmp_path / 'samples.csv'}: line 3 is the first with a value "
+            "that is not finite\n")
+        assert (tmp_path / "samples.csv").read_text().splitlines()[1:] == [
+            "0.0,620.0,10.0,70.0",
+            "3.333333333333333e+307,inf,-inf,-inf",
+            "6.666666666666666e+307,inf,-inf,-inf",
+            "1e+308,inf,-inf,-inf",
+        ]
+
+    def test_compare_from_a_huge_state(self, tmp_path: Path, capsys):
+        assert cli.main(["compare", "--initial", "1e300,1,1", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: {tmp_path / f'compare_{v}.csv'}: line 3 is the first with a value "
+            "that is not finite\n" for v in "SIR")
+        rows = read_rows(tmp_path / "compare_S.csv")
+        assert rows[0]["reference"] == "1e+300" and rows[1]["reference"] == "nan"
+
+    def test_relative_error_at_a_zero_reference(self, tmp_path: Path, capsys):
+        assert cli.main(["compare", "--initial", "620,10,0", "--degree", "4",
+                         "--rk-step", "0.1", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {tmp_path / 'compare_R.csv'}: line 2 is the first with a value "
+            "that is not finite\n")
+        assert read_rows(tmp_path / "compare_R.csv")[0]["rel_err"] == "nan"
+
+    def test_a_variable_named_nan_is_not_a_value(self, tmp_path: Path, capsys):
+        model = tmp_path / "nan.json"
+        model.write_text(json.dumps({
+            "variables": ["nan"], "initial": [1.0], "alpha": 1.0, "t0": 0.0,
+            "equations": [[{"coeff": -1.0, "powers": [1]}]],
+        }))
+        assert cli.main(["solve", "--model", str(model), "--degree", "2",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_rows(tmp_path / "coefficients.csv")[0]["variable"] == "nan"
+
+
 class TestInvalidInputWritesNothing:
     """Non-finite numbers (nan, inf, overflowing literals) and bad sample grids
     fail as usage errors before any file is written."""
@@ -620,10 +679,11 @@ def _out_args(command: str, out: str) -> list[str]:
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
-def test_output_matches_golden_files(tmp_path: Path, monkeypatch, case):
+def test_output_matches_golden_files(tmp_path: Path, monkeypatch, capsys, case):
     args, golden = GOLDEN_RUNS[case], GOLDEN_CLI / case
     monkeypatch.chdir(REPO_ROOT)  # "--model sir.json" is the shipped file
     assert cli.main([*args, *_out_args(args[0], str(tmp_path))]) == 0
+    assert capsys.readouterr() == ("", "")  # no warning: every value is finite
     command = " ".join(["PYTHONPATH=src python -m fracseries", *args,
                         *_out_args(args[0], f"tests/golden/cli/{case}")])
     hint = f"if the change is meant, regenerate them from the repository root with\n{command}"

@@ -3,6 +3,7 @@ import linecache
 import math
 import pickle
 import random
+import struct
 import traceback
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from fracseries import (
     multiply_truncated,
     solve,
 )
-from fracseries.fracpoly import _horner
+from fracseries.fracpoly import _caputo_limit, _caputo_step, _horner
 
 from sir_reference import I_COEFFS_DEG9, S_COEFFS_DEG9
 
@@ -537,6 +538,38 @@ class TestAgainstDefiningIntegrals:
         want = integral / math.gamma(alpha)
         p = _unit_term(alpha, k)
         assert p.rl_integral().evaluate(p.t0 + 1.0) == pytest.approx(want, rel=1e-9)
+
+
+def _raw(x):
+    return struct.pack("<d", x)
+
+
+class TestCaputoLimit:
+    """`_caputo_limit(c, k, g)` is entry 0 of the k-th list on the
+    `_caputo_step` chain from c, raw byte for raw byte, NaN signs included."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_matches_entry_zero_of_the_k_fold_step(self, alpha):
+        rng = random.Random(int(alpha * 100))
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+        rows = [[0.0], [-0.0], [math.nan], [-math.nan], [-math.inf, 2.0], [3.0, -0.0]]
+        for length in (1, 2, 3, 8, 30):
+            for _ in range(20):
+                rows.append([rng.choice([rng.uniform(-5.0, 5.0)] * 4 + special)
+                             for _ in range(length)])
+        g = [gamma(i * alpha + 1.0) for i in range(32)]
+        assert _raw(math.nan) != _raw(-math.nan)  # else a lost NaN sign would not show
+        for c in rows:
+            chain = c
+            for k in range(len(c) + 2):
+                assert _raw(_caputo_limit(c, k, g)) == _raw(chain[0]), (c, k)
+                chain = _caputo_step(chain, g)
+
+    def test_past_the_row_reads_positive_zero(self):
+        g = [1.0, 1.0, 2.0]
+        assert _raw(_caputo_limit([-0.0], 1, g)) == _raw(0.0)
+        assert _raw(_caputo_limit([], 0, g)) == _raw(0.0)
+        assert _raw(_caputo_limit([1.0, -math.nan], 2, g)) == _raw(0.0)
 
 
 class TestSequentialLimit:
