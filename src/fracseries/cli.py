@@ -10,7 +10,9 @@ All outputs are CSV with a header row, comma separators, LF line endings,
 and floats in shortest round-trip form (17 significant digits at most), so
 identical invocations produce byte-identical files.  A file that holds a
 value that is not finite (nan, inf or -inf) is still written as it is, and
-one `warning:` line on stderr names it and its first such line.
+one `warning:` line on stderr names it and its first such line; `compare`'s
+`rel_err` of nan against a reference of exactly 0 is undefined by design
+and draws no warning.
 
 Exit codes: 0 success, 1 domain/runtime error, 2 usage or config error.
 """
@@ -28,7 +30,7 @@ from typing import Iterable
 
 from .conformable import discrepancy_report
 from .field import PolynomialVectorField
-from .metrics import comparison_table, default_sample_times
+from .metrics import TableRow, comparison_table, default_sample_times
 from .models import ModelConfigError, ModelSpec, parse_model_config, sir_model
 from .rk4 import _GRID_TOLERANCE, rk4_integrate
 from .solver import SeriesProblem, SeriesSolution, solve
@@ -303,8 +305,12 @@ def _write_csv(path: Path, header: str, rows: Iterable[Row]) -> Path:
 
 def _first_nonfinite_line(rows: list[Row]) -> int | None:
     """The file line (the header is line 1) of the first row holding a
-    number that is not finite, or None."""
+    number that is not finite, or None.  A comparison row's relative error
+    is nan by design where its reference is exactly 0, so that nan alone
+    does not count."""
     for i, row in enumerate(rows, 2):
+        if type(row) is TableRow and row.reference == 0.0:
+            row = row[:-1]
         if not all(type(v) is str or math.isfinite(v) for v in row):
             return i
     return None

@@ -194,10 +194,17 @@ def _caputo_limit(c: Sequence[float], k: int, g: Sequence[float]) -> float:
     the limit at t0+ of the k-fold sequential Caputo derivative.  It carries
     c[k] down to slot 0 by `x * g[i] / g[i - 1]` for i = k down to 1, the
     very operations the k steps apply on that diagonal, without building the
-    lists in between.  0.0 when k >= len(c), as the steps' `[0.0]` gives."""
+    lists in between.  0.0 when k >= len(c), as the steps' `[0.0]` gives.
+
+    g must be finite and positive at every index up to k, as any table of
+    Gamma(i*alpha + 1) that did not overflow is.  Then a walk from +0.0 or
+    -0.0 only ever gives that same zero, so c[k] == 0.0 is returned as it
+    is, sign included, without walking: the same bits at no cost."""
     if k >= len(c):
         return 0.0
     x = c[k]
+    if x == 0.0:
+        return x
     for i in range(k, 0, -1):
         x = x * g[i] / g[i - 1]
     return x

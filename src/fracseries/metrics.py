@@ -31,8 +31,9 @@ def comparison_table(
     """One error-table row per sample time for a single state component.
 
     Every sample time must appear on the trajectory grid (within 1e-12).
-    Relative error against a zero reference is reported as nan rather than
-    failing; no supported comparison produces such a row.
+    Relative error against a reference of exactly 0 is undefined and is
+    reported as nan rather than failing.  Such rows are ordinary: SIR
+    started from R(0) = 0 gives one at t0.
 
     Raises:
         ValueError: if component is not an int index into series, the

@@ -30,7 +30,12 @@ through `fracpoly._caputo_step`, the whole-list step kernel that
 component off its own diagonal through `fracpoly._caputo_limit`, which
 carries coefficient k down to slot 0 with the step's operations in the
 order the k-fold derivative applies them, so no list or polynomial is built
-per derivative, and the check costs O(n^2) arithmetic.  One Gamma table per
+per derivative, and the check costs O(n^2) arithmetic at most.  A
+coefficient that is exactly 0.0 is returned as it is, without a walk: each
+step multiplies and divides by finite, positive Gamma values, so a walk
+from a signed zero only ever gives that same zero, and the skip keeps its
+bits.  Defects are sparse (on the benchmark's problems most of their
+coefficients are exactly zero), so most walks are skipped.  One Gamma table per
 call serves every series' derivative and every limit, so a check of a
 degree-n solution makes n + 1 `gamma` calls, and `build_defect` one table
 sized to its longest series; nothing is cached on a polynomial.  Polynomials on these paths are
@@ -145,7 +150,9 @@ def verify_defect_conditions(
     the operations by which the k-fold `_caputo_step` moves d[k] to slot 0.
     So each limit is bit-identical to `sequential_caputo_limit(k)` on
     `build_defect`'s component, at O(n^2) instead of O(n^3) cost in all,
-    and no derivative list or polynomial is built.  One Gamma table per call
+    and no derivative list or polynomial is built.  A d[k] that is exactly
+    0.0 is returned without a walk; the table is finite and positive, so the
+    walk would give that same zero, sign included.  One Gamma table per call
     serves the defect's derivatives and every limit; it covers the n limit
     indices and every index of every series, so a solution of degree n costs
     n + 1 `gamma` calls.

@@ -14,6 +14,7 @@ import pytest
 
 from fracseries import (Monomial, PolynomialVectorField, SeriesProblem, cli,
                         evaluate_field, rk4_integrate, sir_model, solve)
+from fracseries.metrics import TableRow
 from sir_reference import ABS_ERROR_AT_1, COEFFS_DEG9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -271,12 +272,20 @@ class TestNonFiniteOutputWarns:
         assert rows[0]["reference"] == "1e+300" and rows[1]["reference"] == "nan"
 
     def test_relative_error_at_a_zero_reference(self, tmp_path: Path, capsys):
-        assert cli.main(["compare", "--initial", "620,10,0", "--degree", "4",
-                         "--rk-step", "0.1", "--out-dir", str(tmp_path)]) == 0
-        assert capsys.readouterr().err == (
-            f"warning: {tmp_path / 'compare_R.csv'}: line 2 is the first with a value "
-            "that is not finite\n")
-        assert read_rows(tmp_path / "compare_R.csv")[0]["rel_err"] == "nan"
+        # rel_err is undefined where the reference is exactly 0: written, not warned.
+        for initial, var in [("620,10,0", "R"), ("0,10,70", "S")]:
+            assert cli.main(["compare", "--initial", initial, "--degree", "4",
+                             "--rk-step", "0.1", "--out-dir", str(tmp_path / var)]) == 0
+            assert capsys.readouterr().err == ""
+            row = read_rows(tmp_path / var / f"compare_{var}.csv")[0]
+            assert (row["reference"], row["rel_err"]) == ("0.0", "nan")
+
+    def test_only_a_zero_reference_excuses_the_relative_error(self):
+        excused = TableRow(0.0, 0.0, 0.0, 0.0, math.nan)
+        assert cli._first_nonfinite_line([excused]) is None
+        # A subnormal reference is not zero: its infinite rel_err still counts.
+        assert cli._first_nonfinite_line([excused, TableRow(0.1, 5e-324, 1.0, 1.0, math.inf)]) == 3
+        assert cli._first_nonfinite_line([TableRow(0.0, 0.0, math.nan, math.nan, math.nan)]) == 2
 
     def test_a_variable_named_nan_is_not_a_value(self, tmp_path: Path, capsys):
         model = tmp_path / "nan.json"
@@ -456,6 +465,21 @@ class TestCompare:
         cp = run_cli("compare", "--rk-step", "0.03", "--out-dir", str(tmp_path))
         assert cp.returncode == 2
         assert "0.1" in cp.stderr
+
+    def test_rk_step_just_off_the_sample_grid_rejected(self, tmp_path: Path, capsys):
+        # Two steps miss 0.1 by 4.0e-12: above the 1e-12 grid tolerance, below 1e-11.
+        out = tmp_path / "o"
+        assert cli.main(["compare", "--rk-step", "0.050000000002", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rk-step ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_rk_step_on_the_sample_grid_accepted(self, tmp_path: Path, capsys):
+        # Three steps of 0.03333333333333333 make exactly 0.1.
+        assert cli.main(["compare", "--rk-step", "0.03333333333333333", "--degree", "4",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_rows(tmp_path / "compare_S.csv")) == 11
 
     @pytest.mark.parametrize("names", [["a b", "a_b"], ["a/b", "a:b"]])
     def test_variables_sharing_an_output_file_rejected(self, tmp_path: Path, names):

@@ -571,6 +571,25 @@ class TestCaputoLimit:
         assert _raw(_caputo_limit([], 0, g)) == _raw(0.0)
         assert _raw(_caputo_limit([1.0, -math.nan], 2, g)) == _raw(0.0)
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_zero_coefficient_is_returned_without_a_walk(self, zero, k):
+        c = [1.0, -2.0, 3.0, 4.0]
+        c[k] = zero
+        assert _raw(_caputo_limit(c, k, _UnreadableTable())) == _raw(zero)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_nonzero_coefficient_still_walks(self, k):
+        with pytest.raises(LookupError, match="read"):
+            _caputo_limit([0.0, -2.0, 0.0, 5e-324], k, _UnreadableTable())
+
+
+class _UnreadableTable:
+    """A Gamma table that fails on any read, so a walk shows itself."""
+
+    def __getitem__(self, i):
+        raise LookupError(f"g[{i}] was read")
+
 
 class TestSequentialLimit:
     def test_zero_applications_read_constant(self):
