@@ -227,6 +227,9 @@ def _cmd_compare(args: argparse.Namespace) -> Output:
 
 
 def _cmd_conformable(args: argparse.Namespace) -> Output:
+    out = Path(args.out)
+    if out.name in ("", ".."):
+        raise UsageError(f"--out must name a file, got {args.out!r}")
     report = discrepancy_report(args.beta, args.alpha)
     rows: list[Row] = [
         ("alpha", report.alpha),
@@ -236,7 +239,6 @@ def _cmd_conformable(args: argparse.Namespace) -> Output:
         ("conformable_coefficient", report.conformable_coefficient),
         ("ratio", report.ratio),
     ]
-    out = Path(args.out)
     return out.parent, [(out.name, "field,value", rows)]
 
 
@@ -244,6 +246,9 @@ def _sample_grid(t0: float, t_end: float, samples: int) -> list[float]:
     if t_end <= t0:
         raise UsageError(f"--t-end {t_end} must exceed the model t0 {t0}")
     span = t_end - t0
+    if not math.isfinite(span):
+        raise UsageError(f"--t-end {t_end} lies too far from the model t0 {t0}: "
+                         "the sample span overflows")
     return [t0 + span * (k / samples) for k in range(samples + 1)]
 
 

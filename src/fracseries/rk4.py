@@ -53,8 +53,9 @@ def rk4_integrate(
             non-positive h, a record_every that is not a positive int,
             t_end <= t0, or a step that does not divide the interval.
         OverflowError: as `evaluate_field`, when a power in the field
-            overflows at some stage (for y' = y^2, once a stage's state
-            passes about 1.3e154); the message names RK4, h and [t0, t_end].
+            overflows at the initial state or at some stage (for y' = y^2,
+            once a state passes about 1.3e154); the message names RK4, h
+            and [t0, t_end].
     """
     for name, value in (("t0", t0), ("t_end", t_end), ("h", h)):
         if not math.isfinite(value):
@@ -74,8 +75,8 @@ def rk4_integrate(
         raise ValueError(f"step {h} does not divide the interval length {span}")
 
     y = [float(v) for v in y0]
-    evaluate_field(field, 0.0, y)  # the one state check, before any compile
     try:
+        evaluate_field(field, 0.0, y)  # the one state check, before any compile
         times, states = field.plan.rk4(y, t0, h, n_steps, record_every)
     except OverflowError as exc:
         raise OverflowError(f"RK4 with step h={h} on [{t0}, {t_end}] overflowed: "

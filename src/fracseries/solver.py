@@ -24,22 +24,20 @@ a sum is never -0.0, so a product 0 * finite changes nothing, and 0 * inf
 or 0 * NaN leaves the sum NaN, so the bits are the same.  `solve` builds
 no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
 path (`compose_series`, then repeated Caputo derivatives) and share no
-shortcut with `solve`.  The defect's derivatives run on plain float lists
-through `fracpoly._caputo_step`, the whole-list step kernel that
-`caputo_derivative` also wraps.  The oracle reads limit k of each defect
-component off its own diagonal through `fracpoly._caputo_limit`, which
-carries coefficient k down to slot 0 with the step's operations in the
-order the k-fold derivative applies them, so no list or polynomial is built
-per derivative, and the check costs O(n^2) arithmetic at most.  A
+shortcut with `solve`: both take the defect from `_defect`, which states its
+bit rule, and all three read Gamma values from `_gamma_table`, which states
+the one-table rule.  The oracle reads limit k of each defect component off
+its own diagonal through `fracpoly._caputo_limit`, which carries
+coefficient k down to slot 0 with the step's operations in the order the
+k-fold derivative applies them, so no list or polynomial is built per
+derivative, and the check costs O(n^2) arithmetic at most.  A
 coefficient that is exactly 0.0 is returned as it is, without a walk: each
 step multiplies and divides by finite, positive Gamma values, so a walk
 from a signed zero only ever gives that same zero, and the skip keeps its
 bits.  Defects are sparse (on the benchmark's problems most of their
-coefficients are exactly zero), so most walks are skipped.  One Gamma table per
-call serves every series' derivative and every limit, so a check of a
-degree-n solution makes n + 1 `gamma` calls, and `build_defect` one table
-sized to its longest series; nothing is cached on a polynomial.  Polynomials on these paths are
-built from floats the library computed, without re-validation.
+coefficients are exactly zero), so most walks are skipped.  Polynomials on
+these paths are built from floats the library computed, without
+re-validation.
 """
 
 from __future__ import annotations
@@ -89,23 +87,11 @@ def build_defect(
 ) -> list[FractionalPolynomial]:
     """Defect D^alpha P - f(t, P) per equation, truncated at max_degree.
 
-    Component j holds the bits of
-    `add_scaled(p.caputo_derivative(), f_j, 1.0, -1.0).truncated(max_degree)`
-    for its series p, but the derivatives share one Gamma table per call,
-    with one entry, and one `gamma` call, per coefficient of the longest
-    series.
-
-    Raises:
-        ValueError: as `compose_series` does, before any Gamma value is formed.
-        GridMismatchError: as `compose_series` does.
+    The components are `_defect`'s rows, over a Gamma table sized to the
+    longest series; `_defect` states their bits and their errors.
     """
-    composed = compose_series(field, candidate, max_degree)
-    if not composed:
-        return []
-    a = candidate[0].alpha
-    g = [gamma(i * a + 1.0) for i in range(max(len(p.coeffs) for p in candidate))]
-    return [_from_floats(p.alpha, p.t0, tuple(row))
-            for p, row in zip(candidate, _defect_rows(candidate, composed, g, max_degree))]
+    rows = _defect(field, candidate, max_degree, 0)[0]
+    return [_from_floats(p.alpha, p.t0, tuple(row)) for p, row in zip(candidate, rows)]
 
 
 def solve(problem: SeriesProblem) -> SeriesSolution:
@@ -113,23 +99,16 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
 
     The constant coefficients are the initial values; each further index is
     fixed by the explicit recursion described in the module docstring, all
-    components advancing in lockstep over a Gamma table of degree + 1 entries.
+    components advancing in lockstep over `_gamma_table` of degree + 1 entries.
     Degree 0 returns the constant initial values.  No defect is built;
     `build_defect` and `verify_defect_conditions` check the result.
 
     Raises:
-        OverflowError: if a Gamma value of the table is not a finite double
-            (at alpha 1, from degree 171 on); the message names the degree
-            and alpha as well as the Gamma argument.
+        OverflowError: as `_gamma_table` (at alpha 1, from degree 171 on).
     """
-    a = problem.alpha
-    try:
-        g = [gamma(i * a + 1.0) for i in range(problem.degree + 1)]
-    except OverflowError as exc:
-        raise OverflowError(f"series of degree {problem.degree} at alpha {a} "
-                            f"overflowed: {exc}") from exc
+    g = _gamma_table(problem.alpha, problem.degree + 1)
     coeffs = problem.field.plan.recurrence(problem.y0, g)
-    series = tuple(_from_floats(a, problem.t0, tuple(c)) for c in coeffs)
+    series = tuple(_from_floats(problem.alpha, problem.t0, tuple(c)) for c in coeffs)
     return SeriesSolution(series=series, problem=problem)
 
 
@@ -152,42 +131,74 @@ def verify_defect_conditions(
     `build_defect`'s component, at O(n^2) instead of O(n^3) cost in all,
     and no derivative list or polynomial is built.  A d[k] that is exactly
     0.0 is returned without a walk; the table is finite and positive, so the
-    walk would give that same zero, sign included.  One Gamma table per call
-    serves the defect's derivatives and every limit; it covers the n limit
-    indices and every index of every series, so a solution of degree n costs
-    n + 1 `gamma` calls.
+    walk would give that same zero, sign included.  The rows and the one
+    table g come from `_defect`, with g covering the n limit indices too.
 
     Raises:
         GridMismatchError: unless every series shares the problem's alpha and t0.
+        OverflowError: as `_gamma_table`.
     """
-    n, a, series = problem.degree, problem.alpha, solution.series
-    for s in series:
+    n = problem.degree
+    for s in solution.series:
         _check_same_grid(s, problem)
     if n == 0:
         return []
-    composed = compose_series(problem.field, series, n - 1)
-    g = [gamma(i * a + 1.0) for i in range(max([n, *(len(s.coeffs) for s in series)]))]
-    rows = _defect_rows(series, composed, g, n - 1)
+    rows, g = _defect(problem.field, solution.series, n - 1, n)
     return [_largest_limit([_caputo_limit(d, k, g) for d in rows]) for k in range(n)]
 
 
-def _defect_rows(
+def _gamma_table(alpha: float, size: int) -> list[float]:
+    """g[i] = Gamma(i*alpha + 1) for i < size, one `gamma` call per entry.
+
+    `solve`, `build_defect` and `verify_defect_conditions` each build exactly
+    one such table per call and read every Gamma value from it; nothing is
+    cached on a polynomial.  So a degree-n solve or check costs n + 1 calls.
+
+    Raises:
+        OverflowError: if an entry is not a finite double; the message names
+            the degree size - 1 and alpha as well as the Gamma argument.
+    """
+    try:
+        return [gamma(i * alpha + 1.0) for i in range(size)]
+    except OverflowError as exc:
+        raise OverflowError(f"series of degree {size - 1} at alpha {alpha} "
+                            f"overflowed: {exc}") from exc
+
+
+def _defect(
+    field: PolynomialVectorField,
     series: Sequence[FractionalPolynomial],
-    composed: Sequence[FractionalPolynomial],
-    g: Sequence[float],
     max_degree: int,
-) -> list[list[float]]:
+    size: int,
+) -> tuple[list[list[float]], list[float]]:
     """D^alpha p - f_j per equation as float lists, truncated at max_degree,
-    from the series, their composition f_j and g[i] = Gamma(i*alpha + 1)
-    given for every index of every series.  The float operations are those
-    of `add_scaled(p.caputo_derivative(), f_j, 1.0, -1.0).truncated(max_degree)`,
-    so every bit, NaN signs included, is the same."""
-    return [
+    and the Gamma table g they were built from.
+
+    The series are composed first, so `compose_series`'s errors come before
+    any Gamma value; a system with no equations gives ([], []).  Otherwise g
+    is one `_gamma_table` of max(size, longest series) entries, which serves
+    every series' derivative, so a defect costs one `gamma` call per entry.
+    Each derivative is one `fracpoly._caputo_step` on a plain float list, the
+    kernel `caputo_derivative` also wraps, and the float operations are those of
+    `add_scaled(p.caputo_derivative(), f_j, 1.0, -1.0).truncated(max_degree)`,
+    so every bit, NaN signs included, is the same.
+
+    Raises:
+        ValueError: as `compose_series`.
+        GridMismatchError: as `compose_series`.
+        OverflowError: as `_gamma_table`.
+    """
+    composed = compose_series(field, series, max_degree)
+    if not composed:
+        return [], []
+    g = _gamma_table(series[0].alpha, max([size, *(len(p.coeffs) for p in series)]))
+    rows = [
         [1.0 * x + -1.0 * y
          for x, y in zip_longest(_caputo_step(p.coeffs, g), fp.coeffs, fillvalue=0.0)]
         [: max_degree + 1]
         for p, fp in zip(series, composed)
     ]
+    return rows, g
 
 
 def _largest_limit(values: Sequence[float]) -> float:

@@ -207,23 +207,25 @@ class TestSolve:
         assert evaluate_field(field, 0.0, [math.inf]) == [math.inf]
         with pytest.raises(OverflowError):
             evaluate_field(field, 0.0, [1e200])
-        # 1e100 passes the state check; a later stage overflows in the loop.
-        with pytest.raises(OverflowError):
-            rk4_integrate(field, (1e100,), 0.0, 1.0, 0.1)
-        model = tmp_path / "square.json"
-        model.write_text(json.dumps({
-            "variables": ["y"], "initial": [1e100], "alpha": 1.0, "t0": 0.0,
-            "equations": [[{"coeff": 1.0, "powers": [2]}]],
-        }))
-        out = tmp_path / "out"
-        cp = run_cli("compare", "--model", str(model), "--out-dir", str(out))
-        assert cp.returncode == 1
-        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
-        assert "Traceback" not in cp.stderr
-        assert not out.exists()
-        # The line names RK4, its step and its interval, not errno 34.
-        assert cp.stderr == ("error: RK4 with step h=0.0001 on [0.0, 1.0] overflowed: "
-                             "a state power exceeds the double range\n")
+        # 1e100 passes the state check and a later stage overflows in the
+        # loop; 1e200 overflows in the state check itself.  Both name RK4.
+        for initial in (1e100, 1e200):
+            with pytest.raises(OverflowError, match=r"^RK4 with step h=0\.1 on \[0\.0, 1\.0\] "
+                                                    r"overflowed: "):
+                rk4_integrate(field, (initial,), 0.0, 1.0, 0.1)
+            model = tmp_path / "square.json"
+            model.write_text(json.dumps({
+                "variables": ["y"], "initial": [initial], "alpha": 1.0, "t0": 0.0,
+                "equations": [[{"coeff": 1.0, "powers": [2]}]],
+            }))
+            out = tmp_path / "out"
+            cp = run_cli("compare", "--model", str(model), "--out-dir", str(out))
+            assert cp.returncode == 1
+            assert "Traceback" not in cp.stderr
+            assert not out.exists()
+            # One line that names RK4, its step and its interval, not errno 34.
+            assert cp.stderr == ("error: RK4 with step h=0.0001 on [0.0, 1.0] overflowed: "
+                                 "a state power exceeds the double range\n")
 
     def test_degree_160_at_alpha_one(self, tmp_path: Path):
         cp = run_cli("solve", "--alpha", "1", "--degree", "160", "--out-dir", str(tmp_path))
@@ -353,6 +355,30 @@ class TestInvalidInputWritesNothing:
         cp = run_cli(command, "--model", str(model), *alpha, "--out-dir", str(out))
         self.assert_usage_error(cp, out)
         assert f"variable {names[0]!r}" in cp.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_sample_window_whose_span_overflows(self, tmp_path: Path, command):
+        # t_end - t0 is inf, so the grid's t0 + inf * 0.0 was nan.
+        model = tmp_path / "far.json"
+        model.write_text(SHIPPED_SIR.read_text().replace('"t0": 0.0', '"t0": -1e308', 1))
+        out = tmp_path / "out"
+        alpha = ("--alpha", "0.5") if command == "sweep" else ()
+        cp = run_cli(command, "--model", str(model), *alpha, "--t-end", "1e308",
+                     "--out-dir", str(out))
+        self.assert_usage_error(cp, out)
+        assert cp.stderr == ("error: --t-end 1e+308 lies too far from the model t0 -1e+308: "
+                             "the sample span overflows\n")
+
+    @pytest.mark.parametrize("value", ["", ".", "..", "sub/.."])
+    def test_conformable_out_that_names_no_file(self, tmp_path: Path, monkeypatch, capsys,
+                                                value):
+        # Run one level down, so that `..` stays inside tmp_path.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main(["conformable", "--beta", "1", "--alpha", "0.5", "--out", value]) == 2
+        assert capsys.readouterr().err == f"error: --out must name a file, got {value!r}\n"
+        assert list(tmp_path.rglob("*")) == [work]
 
     def test_conformable_beta(self, tmp_path: Path):
         out = tmp_path / "out" / "report.csv"

@@ -15,6 +15,7 @@ from fracseries import (
     Monomial,
     PolynomialVectorField,
     SeriesProblem,
+    SeriesSolution,
     add_scaled,
     build_defect,
     compose_series,
@@ -849,9 +850,18 @@ def test_oracle_at_degree_170_alpha_one(sir_spec):
 
 
 def test_solve_at_degree_171_alpha_one_overflows(sir_spec):
-    with pytest.raises(OverflowError, match=r"^series of degree 171 at alpha 1\.0 overflowed: "
-                                            r"gamma\(172\.0\) exceeds the largest double$"):
-        solve(_sir_problem(sir_spec, 1.0, 171))
+    # `solve`, the oracle and `build_defect` read one Gamma table, so all
+    # three name the degree and alpha of the series that overflows it.
+    message = (r"^series of degree 171 at alpha 1\.0 overflowed: "
+               r"gamma\(172\.0\) exceeds the largest double$")
+    problem = _sir_problem(sir_spec, 1.0, 171)
+    with pytest.raises(OverflowError, match=message):
+        solve(problem)
+    series = tuple(FractionalPolynomial(1.0, 0.0, (y,) + (0.0,) * 171) for y in INITIAL)
+    with pytest.raises(OverflowError, match=message):
+        verify_defect_conditions(SeriesSolution(series=series, problem=problem), problem)
+    with pytest.raises(OverflowError, match=message):
+        build_defect(problem.field, series, 170)
 
 
 def _mpmath_sir(mpmath, alpha, degree, p1, p2, y0):
