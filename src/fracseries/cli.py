@@ -190,13 +190,16 @@ def _cmd_solve(args: argparse.Namespace) -> Output:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Output:
+    file_names = [f"samples_alpha_{alpha!r}.csv" for alpha in args.alpha]
+    for k, (alpha, file_name) in enumerate(zip(args.alpha, file_names)):
+        if file_name in file_names[:k]:
+            raise UsageError(f"--alpha {alpha!r} is repeated: both would write {file_name}")
     spec = _load_model(args)
     times = _sample_grid(spec.t0, args.t_end, args.samples)
     field = spec.field()
     return Path(args.out_dir), [
-        (f"samples_alpha_{alpha!r}.csv",
-         *_samples(spec, _solve(spec, field, alpha, args.degree), times))
-        for alpha in args.alpha
+        (file_name, *_samples(spec, _solve(spec, field, alpha, args.degree), times))
+        for alpha, file_name in zip(args.alpha, file_names)
     ]
 
 
@@ -227,9 +230,10 @@ def _cmd_compare(args: argparse.Namespace) -> Output:
 
 
 def _cmd_conformable(args: argparse.Namespace) -> Output:
-    out = Path(args.out)
-    if out.name in ("", ".."):
+    # Path drops a trailing separator or ".", so "sub/" would name a file "sub".
+    if os.path.basename(args.out) in ("", ".", ".."):
         raise UsageError(f"--out must name a file, got {args.out!r}")
+    out = Path(args.out)
     report = discrepancy_report(args.beta, args.alpha)
     rows: list[Row] = [
         ("alpha", report.alpha),

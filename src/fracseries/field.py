@@ -181,8 +181,10 @@ class FieldPlan:
         """Lines of `rk4(y, t0, h, n_steps, record_every)`: RK4's loop,
         returning the recorded times and states.  Each of its four stages
         inlines `_point_lines` on one local per state component, so its float
-        operations are those of `evaluate_field`."""
+        operations are those of `evaluate_field`.  A stage state `x{j}` is
+        computed only for a variable that some term has as a factor."""
         dim, timed = range(len(self.terms)), any(t[1] for ts in self.terms for t in ts)
+        read = sorted({j for ts in self.terms for t in ts for j, _ in t[3]})
         y = "".join(f"y{j}, " for j in dim)
         lines = ["def rk4(y, t0, h, n_steps, record_every):", f" [{y}] = y",
                  " hh, h6 = 0.5 * h, h / 6.0", f" times, states = [t0], [({y})]",
@@ -190,7 +192,7 @@ class FieldPlan:
                  *["  u = t - t0"] * timed, *self._point_lines("  ", "k1_{}", "y{}")]
         for stage, step in ((2, "hh"), (3, "hh"), (4, "h")):
             lines += [f"  u = t + {step} - t0"] * (timed and stage != 3)
-            lines += [f"  x{j} = y{j} + {step} * k{stage - 1}_{j}" for j in dim]
+            lines += [f"  x{j} = y{j} + {step} * k{stage - 1}_{j}" for j in read]
             lines += self._point_lines("  ", f"k{stage}_{{}}", "x{}")
         lines += [f"  y{j} = y{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
                   for j in dim]

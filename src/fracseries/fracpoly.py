@@ -184,30 +184,40 @@ def _caputo_step(c: Sequence[float], g: Sequence[float]) -> list[float]:
     coefficients c, from g[i] = Gamma(i*alpha + 1) given for at least every
     index of c: the one place the whole-list step is written.
     `caputo_derivative` wraps the list in a polynomial, and the defect
-    check reads it as floats.  `_caputo_limit` applies the same step to one entry
-    at a time, down one diagonal; a test pins it to k-fold use of this one."""
+    check reads it as floats.  `_caputo_limits` applies the same step to one
+    entry at a time, down each diagonal; a test pins it to k-fold use of this
+    one."""
     return [ci * gi / gp for ci, gi, gp in zip(c[1:], g[1:], g)] or [0.0]
 
 
-def _caputo_limit(c: Sequence[float], k: int, g: Sequence[float]) -> float:
-    """Entry 0 of k-fold `_caputo_step` on c, with the same g, bit for bit:
-    the limit at t0+ of the k-fold sequential Caputo derivative.  It carries
-    c[k] down to slot 0 by `x * g[i] / g[i - 1]` for i = k down to 1, the
-    very operations the k steps apply on that diagonal, without building the
-    lists in between.  0.0 when k >= len(c), as the steps' `[0.0]` gives.
+def _caputo_limits(c: Sequence[float], n: int,
+                   steps: Sequence[tuple[float, float]]) -> list[float]:
+    """Entry 0 of k-fold `_caputo_step` on c, for k = 0..n-1, bit for bit:
+    the limits at t0+ of the sequential Caputo derivatives of one series,
+    in one call.  steps holds the pairs (g[i], g[i - 1]) of a table
+    g[i] = Gamma(i*alpha + 1) for i = m down to 1, for some m of at least
+    min(n, len(c)) - 1, so that `steps[-k:]` is the walk for limit k.
 
-    g must be finite and positive at every index up to k, as any table of
-    Gamma(i*alpha + 1) that did not overflow is.  Then a walk from +0.0 or
-    -0.0 only ever gives that same zero, so c[k] == 0.0 is returned as it
-    is, sign included, without walking: the same bits at no cost."""
-    if k >= len(c):
-        return 0.0
-    x = c[k]
-    if x == 0.0:
-        return x
-    for i in range(k, 0, -1):
-        x = x * g[i] / g[i - 1]
-    return x
+    Limit k carries c[k] down to slot 0 by `x = x * gi / gp` over
+    `steps[-k:]`, the very operations the k steps apply on that diagonal,
+    without building the lists in between.  Past the end of c it is +0.0,
+    as the steps' `[0.0]` gives.  g must be finite and positive, as any
+    Gamma table that did not overflow is; then a walk from +0.0 or -0.0
+    only ever gives that same zero, so a c[k] == 0.0 is returned as it is,
+    sign included, without reading steps: the same bits at no cost.
+
+    The defect check calls this once per defect row, over one pair list per
+    check, and takes each index's largest absolute limit over the rows
+    inline, NaN when any row's limit there is NaN (`max` alone drops a NaN
+    that is not first, so a NaN sum of the absolute limits decides)."""
+    out = list(c[:n])
+    for k in range(1, len(out)):
+        x = out[k]
+        if x != 0.0:
+            for gi, gp in steps[-k:]:
+                x = x * gi / gp
+            out[k] = x
+    return out + [0.0] * (n - len(out))
 
 
 @lru_cache(maxsize=64)

@@ -26,18 +26,15 @@ no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
 path (`compose_series`, then repeated Caputo derivatives) and share no
 shortcut with `solve`: both take the defect from `_defect`, which states its
 bit rule, and all three read Gamma values from `_gamma_table`, which states
-the one-table rule.  The oracle reads limit k of each defect component off
-its own diagonal through `fracpoly._caputo_limit`, which carries
-coefficient k down to slot 0 with the step's operations in the order the
-k-fold derivative applies them, so no list or polynomial is built per
-derivative, and the check costs O(n^2) arithmetic at most.  A
-coefficient that is exactly 0.0 is returned as it is, without a walk: each
-step multiplies and divides by finite, positive Gamma values, so a walk
-from a signed zero only ever gives that same zero, and the skip keeps its
-bits.  Defects are sparse (on the benchmark's problems most of their
-coefficients are exactly zero), so most walks are skipped.  Polynomials on
-these paths are built from floats the library computed, without
-re-validation.
+the one-table rule.  The oracle reads every limit of a defect component
+in one call to `fracpoly._caputo_limits`, which carries each coefficient
+down its own diagonal with the step's operations in the order the k-fold
+derivative applies them, so no list or polynomial is built per derivative
+and the check costs O(n^2) arithmetic at most; its docstring states the
+zero skip, the one call per row and the NaN rule of the maximum.  Defects
+are sparse (on the benchmark's problems most of their coefficients are
+exactly zero), so most walks are skipped.  Polynomials on these paths are
+built from floats the library computed, without re-validation.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .field import PolynomialVectorField, compose_series
-from .fracpoly import (FractionalPolynomial, _caputo_limit, _caputo_step, _check_degree,
+from .fracpoly import (FractionalPolynomial, _caputo_limits, _caputo_step, _check_degree,
                        _check_grid, _check_same_grid, _from_floats)
 from .special import gamma
 
@@ -117,22 +114,20 @@ def verify_defect_conditions(
 ) -> list[float]:
     """Check the limit conditions the coefficients were derived from.
 
-    For each i = 1..degree, applies the Caputo derivative literally i-1 times
-    to every defect component and takes the limit at t0+ (the constant term),
-    returning max over equations of the absolute limit value per index (NaN
-    when any equation's limit is NaN, 0.0 when there is no equation).  All
-    entries are ~0 for a correct solution; this is the independent oracle
-    for the recursion in `solve`.
+    For each i = 1..degree, takes the limit at t0+ of the (i-1)-fold
+    sequential Caputo derivative of every defect component, and returns
+    the largest absolute limit over the equations per index (NaN when any
+    equation's limit is NaN, 0.0 when there is no equation).  All entries
+    are ~0 for a correct solution; this is the independent oracle for the
+    recursion in `solve`.
 
-    Limit k of a defect component d is `_caputo_limit(d, k, g)`: d[k]
-    carried down its diagonal by `x * g[i] / g[i - 1]` for i = k down to 1,
-    the operations by which the k-fold `_caputo_step` moves d[k] to slot 0.
-    So each limit is bit-identical to `sequential_caputo_limit(k)` on
-    `build_defect`'s component, at O(n^2) instead of O(n^3) cost in all,
-    and no derivative list or polynomial is built.  A d[k] that is exactly
-    0.0 is returned without a walk; the table is finite and positive, so the
-    walk would give that same zero, sign included.  The rows and the one
-    table g come from `_defect`, with g covering the n limit indices too.
+    The rows and the one table g come from `_defect`, with g covering the
+    n limit indices too.  One list of step pairs (g[i], g[i - 1]) serves
+    every row, and each row's n limits come from one `_caputo_limits` call:
+    the very operations by which k literal derivatives carry d[k] to the
+    constant term.  So each limit is bit-identical to
+    `sequential_caputo_limit(k)` on `build_defect`'s component, at O(n^2)
+    instead of O(n^3) cost in all.
 
     Raises:
         GridMismatchError: unless every series shares the problem's alpha and t0.
@@ -144,7 +139,14 @@ def verify_defect_conditions(
     if n == 0:
         return []
     rows, g = _defect(problem.field, solution.series, n - 1, n)
-    return [_largest_limit([_caputo_limit(d, k, g) for d in rows]) for k in range(n)]
+    if not rows:
+        return [0.0] * n
+    steps = [(g[i], g[i - 1]) for i in range(n - 1, 0, -1)]
+    out = []
+    for col in zip(*[_caputo_limits(d, n, steps) for d in rows]):
+        total = sum(map(abs, col))
+        out.append(total if total != total else max(map(abs, col)))
+    return out
 
 
 def _gamma_table(alpha: float, size: int) -> list[float]:
@@ -199,16 +201,3 @@ def _defect(
         for p, fp in zip(series, composed)
     ]
     return rows, g
-
-
-def _largest_limit(values: Sequence[float]) -> float:
-    """max over the components of |limit at t0+|, NaN if any limit is NaN,
-    0.0 when there is no component.
-
-    `max` alone drops a NaN that is not first, since every comparison with
-    NaN is false.  The absolute limits are non-negative, so their sum is NaN
-    exactly when one of them is.
-    """
-    limits = [abs(x) for x in values]
-    total = sum(limits)
-    return total if total != total else max(limits, default=0.0)

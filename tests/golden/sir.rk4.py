@@ -12,7 +12,6 @@ def rk4(y, t0, h, n_steps, record_every):
   k1_2 += c2_0 * y1
   x0 = y0 + hh * k1_0
   x1 = y1 + hh * k1_1
-  x2 = y2 + hh * k1_2
   k2_0 = 0.0
   k2_0 += c0_0 * x0 * x1
   k2_1 = 0.0
@@ -22,7 +21,6 @@ def rk4(y, t0, h, n_steps, record_every):
   k2_2 += c2_0 * x1
   x0 = y0 + hh * k2_0
   x1 = y1 + hh * k2_1
-  x2 = y2 + hh * k2_2
   k3_0 = 0.0
   k3_0 += c0_0 * x0 * x1
   k3_1 = 0.0
@@ -32,7 +30,6 @@ def rk4(y, t0, h, n_steps, record_every):
   k3_2 += c2_0 * x1
   x0 = y0 + h * k3_0
   x1 = y1 + h * k3_1
-  x2 = y2 + h * k3_2
   k4_0 = 0.0
   k4_0 += c0_0 * x0 * x1
   k4_1 = 0.0

@@ -369,7 +369,7 @@ class TestInvalidInputWritesNothing:
         assert cp.stderr == ("error: --t-end 1e+308 lies too far from the model t0 -1e+308: "
                              "the sample span overflows\n")
 
-    @pytest.mark.parametrize("value", ["", ".", "..", "sub/.."])
+    @pytest.mark.parametrize("value", ["", ".", "..", "sub/..", "sub/", "sub/.", "/"])
     def test_conformable_out_that_names_no_file(self, tmp_path: Path, monkeypatch, capsys,
                                                 value):
         # Run one level down, so that `..` stays inside tmp_path.
@@ -379,6 +379,17 @@ class TestInvalidInputWritesNothing:
         assert cli.main(["conformable", "--beta", "1", "--alpha", "0.5", "--out", value]) == 2
         assert capsys.readouterr().err == f"error: --out must name a file, got {value!r}\n"
         assert list(tmp_path.rglob("*")) == [work]
+
+    @pytest.mark.parametrize("second", ["0.5", "5e-1"])
+    def test_sweep_order_given_twice(self, tmp_path: Path, second):
+        # The second file would have replaced the first under the same name.
+        out = tmp_path / "out"
+        cp = run_cli("sweep", "--alpha", "0.5", "--alpha", "0.75", "--alpha", second,
+                     "--out-dir", str(out))
+        self.assert_usage_error(cp, out)
+        assert cp.stderr == ("error: --alpha 0.5 is repeated: both would write "
+                             "samples_alpha_0.5.csv\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_conformable_beta(self, tmp_path: Path):
         out = tmp_path / "out" / "report.csv"

@@ -1,3 +1,4 @@
+import ast
 import io
 import linecache
 import math
@@ -287,6 +288,30 @@ class TestPlan:
         assert all(v.isdigit() or v in {"0.0", *constants[name]} for v in numbers)
         assert not any(text in source for text in ("2.5", "nan", "inf", "os", "1e300"))
         assert callable(getattr(field.plan, name))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rk4_reads_every_stage_state_it_assigns(self, seed):
+        # SIR's R is no factor of any term, so no stage computes x2; a
+        # constant field computes no stage state at all.
+        rng = random.Random(seed)
+        fields = [sir_field(0.001, 0.072), _random_field(rng, rng.randint(1, 4)),
+                  PolynomialVectorField(equations=((Monomial(1.0, (0, 0)),), ()),
+                                        variable_names=("a", "b"))]
+        assigned = []
+        for field in fields:
+            loop = ast.parse("\n".join(field.plan.rk4_source())).body[0].body[-2]
+            unread, assigned_here = set(), set()
+            for statement in loop.body:
+                names = [n for n in ast.walk(statement) if isinstance(n, ast.Name)]
+                unread -= {n.id for n in names if isinstance(n.ctx, ast.Load)}
+                for n in names:
+                    if isinstance(n.ctx, ast.Store) and re.fullmatch(r"x\d+", n.id):
+                        assert n.id not in unread, (field, n.id)
+                        unread.add(n.id)
+                        assigned_here.add(n.id)
+            assert not unread, (field, unread)
+            assigned.append(assigned_here)
+        assert (assigned[0], assigned[2]) == ({"x0", "x1"}, set())
 
     def test_generated_frames_name_their_generator(self):
         plan = sir_field(0.001, 0.072).plan

@@ -21,7 +21,7 @@ from fracseries import (
     multiply_truncated,
     solve,
 )
-from fracseries.fracpoly import _caputo_limit, _caputo_step, _horner
+from fracseries.fracpoly import _caputo_limits, _caputo_step, _horner
 
 from sir_reference import I_COEFFS_DEG9, S_COEFFS_DEG9
 
@@ -544,9 +544,15 @@ def _raw(x):
     return struct.pack("<d", x)
 
 
+def _steps(g, top):
+    """The pairs (g[i], g[i - 1]) for i = top down to 1."""
+    return [(g[i], g[i - 1]) for i in range(top, 0, -1)]
+
+
 class TestCaputoLimit:
-    """`_caputo_limit(c, k, g)` is entry 0 of the k-th list on the
-    `_caputo_step` chain from c, raw byte for raw byte, NaN signs included."""
+    """Entry k of `_caputo_limits(c, n, steps)` is entry 0 of the k-th list
+    on the `_caputo_step` chain from c, raw byte for raw byte, NaN signs
+    included."""
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_matches_entry_zero_of_the_k_fold_step(self, alpha):
@@ -560,35 +566,41 @@ class TestCaputoLimit:
         g = [gamma(i * alpha + 1.0) for i in range(32)]
         assert _raw(math.nan) != _raw(-math.nan)  # else a lost NaN sign would not show
         for c in rows:
-            chain = c
-            for k in range(len(c) + 2):
-                assert _raw(_caputo_limit(c, k, g)) == _raw(chain[0]), (c, k)
-                chain = _caputo_step(chain, g)
+            chain = [c]
+            for _ in range(len(c) + 1):
+                chain.append(_caputo_step(chain[-1], g))
+            for n in range(len(c) + 3):
+                for top in {max(min(n, len(c)) - 1, 0), 31}:
+                    limits = _caputo_limits(c, n, _steps(g, top))
+                    assert list(map(_raw, limits)) == [_raw(d[0]) for d in chain[:n]], (c, n)
 
     def test_past_the_row_reads_positive_zero(self):
-        g = [1.0, 1.0, 2.0]
-        assert _raw(_caputo_limit([-0.0], 1, g)) == _raw(0.0)
-        assert _raw(_caputo_limit([], 0, g)) == _raw(0.0)
-        assert _raw(_caputo_limit([1.0, -math.nan], 2, g)) == _raw(0.0)
+        steps = _steps([1.0, 1.0, 2.0, 6.0], 3)
+        assert list(map(_raw, _caputo_limits([-0.0], 3, steps))) == [_raw(-0.0), _raw(0.0),
+                                                                     _raw(0.0)]
+        assert list(map(_raw, _caputo_limits([], 2, steps))) == [_raw(0.0)] * 2
+        assert _raw(_caputo_limits([1.0, -math.nan], 4, steps)[3]) == _raw(0.0)
+        assert _caputo_limits([1.0, 2.0], 0, steps) == []
 
-    @pytest.mark.parametrize("zero", [0.0, -0.0])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_a_zero_coefficient_is_returned_without_a_walk(self, zero, k):
-        c = [1.0, -2.0, 3.0, 4.0]
-        c[k] = zero
-        assert _raw(_caputo_limit(c, k, _UnreadableTable())) == _raw(zero)
+    def test_a_zero_coefficient_is_returned_without_a_walk(self):
+        # Entry 0 is its own limit, so it reads no step either.
+        c = [1.0, 0.0, -0.0, -0.0, 0.0]
+        got = _caputo_limits(c, len(c), _UnreadableSteps())
+        assert list(map(_raw, got)) == list(map(_raw, c))
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_a_nonzero_coefficient_still_walks(self, k):
+        c = [0.0, 0.0, 0.0, 0.0]
+        c[k] = -2.0 if k == 1 else 5e-324
         with pytest.raises(LookupError, match="read"):
-            _caputo_limit([0.0, -2.0, 0.0, 5e-324], k, _UnreadableTable())
+            _caputo_limits(c, len(c), _UnreadableSteps())
 
 
-class _UnreadableTable:
-    """A Gamma table that fails on any read, so a walk shows itself."""
+class _UnreadableSteps:
+    """Gamma step pairs that fail on any read, so a walk shows itself."""
 
     def __getitem__(self, i):
-        raise LookupError(f"g[{i}] was read")
+        raise LookupError(f"steps[{i}] was read")
 
 
 class TestSequentialLimit:

@@ -766,7 +766,7 @@ def test_library_results_hold_only_their_fields(sir_spec, monkeypatch):
     # coeffs and nothing else, also after being differentiated, so each
     # equals, hashes and pickles as a fresh construction does.  The oracle's
     # Caputo steps are float lists, one per series for the defect; its
-    # limits walk diagonals and build no list.
+    # limits walk diagonals into one list per defect row.
     import fracseries.solver
 
     n = 12
@@ -806,7 +806,7 @@ def test_oracle_rejects_series_on_another_grid(sir_spec):
             verify_defect_conditions(at_one, dataclasses.replace(shifted, degree=degree))
 
 
-@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 40])
 def test_empty_system_has_no_defect(degree):
     field = PolynomialVectorField(equations=(), variable_names=())
     problem = SeriesProblem(field=field, y0=(), alpha=0.5, t0=0.0, degree=degree)
@@ -815,6 +815,23 @@ def test_empty_system_has_no_defect(degree):
     assert compose_series(field, (), degree) == []
     assert build_defect(field, (), degree) == []
     assert verify_defect_conditions(solution, problem) == [0.0] * degree
+
+
+@pytest.mark.parametrize("nan", [math.nan, -math.nan])
+def test_oracle_reads_nan_only_where_a_later_component_has_one(nan):
+    # With no right-hand side the defect is D^alpha P.  Component b's only
+    # non-zero coefficient is NaN at slot 2, so its limit 1 alone is NaN,
+    # while component a is finite and non-zero there: a `max` over the
+    # components would drop the NaN, since it is not first.
+    field = PolynomialVectorField(equations=((), ()), variable_names=("a", "b"))
+    n = 5
+    problem = SeriesProblem(field=field, y0=(1.0, 0.0), alpha=0.5, t0=0.0, degree=n)
+    series = (FractionalPolynomial(0.5, 0.0, (1.0, 2.0, 3.0, -4.0, 5.0, 6.0)),
+              FractionalPolynomial(0.5, 0.0, (0.0, 0.0, nan, 0.0, 0.0, 0.0)))
+    limits = verify_defect_conditions(SeriesSolution(series=series, problem=problem), problem)
+    assert [math.isnan(v) for v in limits] == [k == 1 for k in range(n)]
+    assert all(v > 0.0 for k, v in enumerate(limits) if k != 1)
+    assert _bits(limits) == _bits(_limits_per_index(problem, series))
 
 
 def test_oracle_builds_no_validated_polynomial_and_shares_work(sir_spec, monkeypatch):
