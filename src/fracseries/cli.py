@@ -125,8 +125,10 @@ def _add_sample_flags(parser: argparse.ArgumentParser) -> None:
                         help="number of sample intervals (samples+1 rows)")
 
 
-# Inclusive ranges of the numeric flags.  The caps bound the work of one run:
-# at most 10^4 + 1 series terms, 10^5 + 1 sample rows and 10^7 RK4 steps.
+# Inclusive ranges of the numeric flags.  Each cap bounds its own count: at most
+# 10^4 + 1 coefficients per series, 10^5 + 1 sample rows and 10^7 RK4 steps.
+# They do not bound the work of one run, which also grows with the model's
+# terms: a term's state powers may sum to 10^4 (`field._MAX_STATE_DEGREE`).
 _RANGES = {"degree": (0, 10_000), "samples": (1, 100_000), "rk_step": (1e-7, 0.1)}
 
 
@@ -218,10 +220,16 @@ def _cmd_compare(args: argparse.Namespace) -> Output:
     record_every = round(0.1 / h)
     if abs(record_every * h - 0.1) > _GRID_TOLERANCE:
         raise UsageError(f"--rk-step {h} does not divide the 0.1 sample spacing")
+    # Past |t0| of about 2^49 the rounding of t0 + i/10 merges sample times or
+    # stretches the window, which `rk4_integrate` would reject in its own terms.
+    sample_times = default_sample_times(spec.t0)
+    if abs(sample_times[-1] - spec.t0 - 1.0) > _GRID_TOLERANCE or not all(
+            a < b for a, b in zip(sample_times, sample_times[1:])):
+        raise UsageError(f"the model t0 {spec.t0} is too large for compare: its sample "
+                         "times t0 + i/10 (i = 0..10) do not survive rounding at that magnitude")
     field = spec.field()
     solution = _solve(spec, field, 1.0, args.degree)
     trajectory = rk4_integrate(field, spec.initial, spec.t0, spec.t0 + 1.0, h, record_every)
-    sample_times = default_sample_times(spec.t0)
     tables = []
     for j, file_name in enumerate(file_names):
         rows = list(comparison_table(trajectory, solution.series, j, sample_times))

@@ -30,9 +30,8 @@ _MAX_STATE_DEGREE = 10_000
 class Monomial:
     """One term coeff * ((t-t0)^alpha)^time_power * prod_j y_j^state_powers[j].
 
-    The coefficient is stored as a float.  Every power follows `fracpoly`'s
-    degree rule, an int (not a bool) >= 0, so 2.0 and True raise ValueError,
-    and the state powers sum to at most 10000.
+    The coefficient is stored as a float.  Every power follows
+    `fracpoly._check_degree`, and the state powers sum to at most 10000.
     """
 
     coeff: float
@@ -153,6 +152,11 @@ class FieldPlan:
         0 * finite = ±0.0 leaves it unchanged.  A zero slot against inf or
         NaN gives NaN, which every later addition keeps, so a sum that is not
         NaN met no such pair; a NaN sum is summed again the skipping way.
+
+        The sums are plain left-to-right loops, never `sum()`: since Python
+        3.12 a float `sum()` compensates its rounding, so
+        `sum(map(mul, left, reversed(right)))`, much faster under 3.11, would
+        change the coefficients' last bits from one interpreter to the next.
         """
         dim = range(len(self.terms))
         lines = ["def recurrence(init, g):", *[f" y{j} = [init[{j}]]" for j in dim]]
@@ -178,11 +182,16 @@ class FieldPlan:
         return lines + [f" return [{', '.join(f'y{j}' for j in dim)}]"]
 
     def rk4_source(self) -> list[str]:
-        """Lines of `rk4(y, t0, h, n_steps, record_every)`: RK4's loop,
-        returning the recorded times and states.  Each of its four stages
-        inlines `_point_lines` on one local per state component, so its float
-        operations are those of `evaluate_field`.  A stage state `x{j}` is
-        computed only for a variable that some term has as a factor."""
+        """Lines of `rk4(y, t0, h, n_steps, record_every)`: RK4's whole
+        fixed-step loop, returning the recorded times and states.
+
+        Each of its four stages inlines `_point_lines` on one local per state
+        component and stage value, so its float operations are those of
+        `evaluate_field`, in its order, and its trajectories are bit-identical
+        to an RK4 loop that calls `evaluate_field` per stage.  All four stages
+        are written alike and computed at every step, the first included.  A
+        stage state `x{j}` is computed only for a variable that some term has
+        as a factor (SIR's R is none)."""
         dim, timed = range(len(self.terms)), any(t[1] for ts in self.terms for t in ts)
         read = sorted({j for ts in self.terms for t in ts for j, _ in t[3]})
         y = "".join(f"y{j}, " for j in dim)
@@ -267,12 +276,14 @@ def compose_series(
     shifts the product by p grid slots and keeps its first max_degree - p + 1
     coefficients.  Within one call every partial product is built once at
     max_degree, keyed by its chain of variable factors alone, and shared by
-    all monomials that reach it (SIR's S*I serves two equations).  Component
+    all monomials that reach it (SIR's S*I serves two equations).  A chain met
+    at several time powers is multiplied out once too: the product truncated
+    lower is, bit for bit, a prefix of the full one.  Component
     series carry at most max_degree + 1 coefficients (fewer when every
     contribution lives below max_degree).
 
     Raises:
-        ValueError: on dimension mismatch, or if max_degree is not an int >= 0.
+        ValueError: on dimension mismatch, or as `_check_degree` for max_degree.
         GridMismatchError: if the input series do not share alpha and t0.
     """
     if len(y_series) != field.dimension:

@@ -37,7 +37,8 @@ class GridMismatchError(ValueError):
 
 
 def _check_grid(alpha: float, t0: float) -> None:
-    """The one rule for a grid: 0 < alpha <= 1 and a finite t0."""
+    """The one rule for a grid: 0 < alpha <= 1 and a finite t0, for every
+    `FractionalPolynomial`, `SeriesProblem` and model config."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not math.isfinite(t0):
@@ -45,13 +46,21 @@ def _check_grid(alpha: float, t0: float) -> None:
 
 
 def _check_degree(n: object, name: str) -> None:
-    """The one rule for a degree or truncation index: an int (not a bool) >= 0."""
+    """The one rule for a degree or truncation index: an int (not a bool) >= 0.
+
+    It covers `SeriesProblem.degree`, every `max_degree` argument and each
+    power of a `Monomial`, so 2.0 and True raise ValueError everywhere.
+    """
     if type(n) is not int or n < 0:
         raise ValueError(f"{name} must be an int >= 0, got {n!r}")
 
 
 def _check_same_grid(p: Any, q: Any) -> None:
-    """The one rule for two grids: p and q (anything with alpha and t0) agree."""
+    """The one rule for two grids: p and q (anything with alpha and t0) agree.
+
+    `compose_series` and `build_defect` check every input series against the
+    first, and `verify_defect_conditions` checks each against the problem.
+    """
     if p.alpha != q.alpha or p.t0 != q.t0:
         raise GridMismatchError(
             f"grid mismatch: (alpha={p.alpha}, t0={p.t0}) vs (alpha={q.alpha}, t0={q.t0})"
@@ -209,7 +218,9 @@ def _caputo_limits(c: Sequence[float], n: int,
     The defect check calls this once per defect row, over one pair list per
     check, and takes each index's largest absolute limit over the rows
     inline, NaN when any row's limit there is NaN (`max` alone drops a NaN
-    that is not first, so a NaN sum of the absolute limits decides)."""
+    that is not first, so a NaN sum of the absolute limits decides).  So a
+    check of degree n costs O(n^2) operations at most, where rebuilding each
+    derivative would cost O(n^3), and less when the defect is sparse."""
     out = list(c[:n])
     for k in range(1, len(out)):
         x = out[k]
@@ -223,18 +234,22 @@ def _caputo_limits(c: Sequence[float], n: int,
 @lru_cache(maxsize=64)
 def _horner(n: int) -> Callable[[tuple[float, ...], float], float]:
     """`horner(c, x)`, the sum of c[i] * x**i over a tuple c of n floats,
-    compiled from `_horner_source(n)` on first use for each n.  No source is
-    kept, here or in `linecache`."""
+    compiled from `_horner_source(n)` on first use for each n, so every
+    polynomial of one length shares one kernel, 64 lengths at most.  No
+    source is kept, here or in `linecache`.
+
+    The kernel is the loop `acc = 0.0`, then `acc = acc * x + c[i]` for
+    i = n-1 down to 0, written out as straight-line statements of at most
+    `_MAX_CHAIN` steps each, with the same float operations in the same
+    order.  So its results are bit-identical to that loop, which the tests
+    keep as the reference; NaN results may differ in their sign bit only."""
     scope: dict = {}
     exec(compile("\n".join(_horner_source(n)), "<horner>", "exec"), {}, scope)
     return scope["horner"]
 
 
 def _horner_source(n: int) -> list[str]:
-    """Lines of `horner(c, x)` for n coefficients: the Horner loop
-    `acc = 0.0`, then `acc = acc * x + c[i]` for i = n-1 down to 0, written
-    out with the same float operations in the same order, `_MAX_CHAIN` steps
-    per statement."""
+    """Lines of `horner(c, x)` for n coefficients, as `_horner` states."""
     lines = ["def horner(c, x):", " acc = 0.0"]
     for top in range(n - 1, -1, -_MAX_CHAIN):
         expr = "acc"
@@ -272,7 +287,7 @@ def multiply_truncated(
 
     Raises:
         GridMismatchError: if alpha or t0 differ.
-        ValueError: if max_degree is not an int >= 0.
+        ValueError: as `_check_degree` for max_degree.
     """
     _check_same_grid(p, q)
     _check_degree(max_degree, "max_degree")

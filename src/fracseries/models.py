@@ -6,7 +6,7 @@ A model configuration is a JSON object with exactly these fields:
                time column) or holding a comma, double quote, CR or LF
                (each names one CSV column)
     initial:   array of initial values, one per variable
-    alpha:     series/derivative order in (0, 1]
+    alpha:     series/derivative order
     t0:        expansion center
     equations: one array of terms per variable; each term is an object
                {"coeff": number, "powers": [ints], "tpower": int}

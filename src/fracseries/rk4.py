@@ -3,9 +3,7 @@
 Only alpha = 1 semantics are supported: a monomial time power p contributes
 (t - t0)^p.  This is the reference the series solutions are compared against
 on integer-order problems.  The fixed-step loop is generated once per field
-(`FieldPlan.rk4`, written by `FieldPlan.rk4_source()`), with the field's
-monomials inlined in all four stages alike; its trajectories are
-bit-identical to calling `evaluate_field` per stage.
+as `FieldPlan.rk4`; `FieldPlan.rk4_source` states its stage rule.
 """
 
 from __future__ import annotations

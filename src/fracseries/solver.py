@@ -12,29 +12,12 @@ conditions into an explicit linear step:
     c_i[j] = Gamma((i-1)*alpha + 1) / Gamma(i*alpha + 1)
              * (slot i-1 coefficient of f(t, P) for equation j).
 
-`solve` runs this recursion in O(n^2) through a function generated once per
-field (`FieldPlan.recurrence`), given the initial values and a Gamma table
-whose length fixes n: one loop over i in which each chain of partial
-products appends grid slot i-1 to its own float list, then every equation
-sums its terms in `compose_series`'s order, so the coefficients are
-bit-identical to recomposing the whole field at every step.  A chain's dot
-product sums every product without `multiply_truncated`'s test for a zero
-slot, and sums again with that test only when the result is NaN: from +0.0
-a sum is never -0.0, so a product 0 * finite changes nothing, and 0 * inf
-or 0 * NaN leaves the sum NaN, so the bits are the same.  `solve` builds
-no defect.  `build_defect` and `verify_defect_conditions` stay on the literal
-path (`compose_series`, then repeated Caputo derivatives) and share no
-shortcut with `solve`: both take the defect from `_defect`, which states its
-bit rule, and all three read Gamma values from `_gamma_table`, which states
-the one-table rule.  The oracle reads every limit of a defect component
-in one call to `fracpoly._caputo_limits`, which carries each coefficient
-down its own diagonal with the step's operations in the order the k-fold
-derivative applies them, so no list or polynomial is built per derivative
-and the check costs O(n^2) arithmetic at most; its docstring states the
-zero skip, the one call per row and the NaN rule of the maximum.  Defects
-are sparse (on the benchmark's problems most of their coefficients are
-exactly zero), so most walks are skipped.  Polynomials on these paths are
-built from floats the library computed, without re-validation.
+`solve` runs this recursion in O(n^2) through `FieldPlan.recurrence`, which
+is generated once per field; `FieldPlan.recurrence_source` states its bits.
+`build_defect` and `verify_defect_conditions` share nothing with it: they
+compose the field literally and differentiate the defect (`_defect`), so they
+stay an independent check of `solve`.  All three read Gamma values as
+`_gamma_table` states.
 """
 
 from __future__ import annotations
@@ -95,10 +78,10 @@ def solve(problem: SeriesProblem) -> SeriesSolution:
     """Determine the series coefficients of degree `problem.degree`.
 
     The constant coefficients are the initial values; each further index is
-    fixed by the explicit recursion described in the module docstring, all
-    components advancing in lockstep over `_gamma_table` of degree + 1 entries.
-    Degree 0 returns the constant initial values.  No defect is built;
-    `build_defect` and `verify_defect_conditions` check the result.
+    fixed by the step in the module docstring, all components advancing in
+    lockstep over a `_gamma_table` of degree + 1 entries.  Degree 0 returns
+    the constant initial values.  No defect is built; `build_defect` and
+    `verify_defect_conditions` check the result.
 
     Raises:
         OverflowError: as `_gamma_table` (at alpha 1, from degree 171 on).
@@ -116,18 +99,18 @@ def verify_defect_conditions(
 
     For each i = 1..degree, takes the limit at t0+ of the (i-1)-fold
     sequential Caputo derivative of every defect component, and returns
-    the largest absolute limit over the equations per index (NaN when any
-    equation's limit is NaN, 0.0 when there is no equation).  All entries
-    are ~0 for a correct solution; this is the independent oracle for the
-    recursion in `solve`.
+    the largest absolute limit over the equations per index (0.0 when there
+    is no equation).  This is the independent oracle for the recursion in
+    `solve`.  The rows come from `_defect`, and each row's limits from one
+    `fracpoly._caputo_limits` call, which states the walk, its bits and the
+    NaN rule of the maximum.
 
-    The rows and the one table g come from `_defect`, with g covering the
-    n limit indices too.  One list of step pairs (g[i], g[i - 1]) serves
-    every row, and each row's n limits come from one `_caputo_limits` call:
-    the very operations by which k literal derivatives carry d[k] to the
-    constant term.  So each limit is bit-identical to
-    `sequential_caputo_limit(k)` on `build_defect`'s component, at O(n^2)
-    instead of O(n^3) cost in all.
+    The limits are not scaled: the (i-1)-fold derivative of a slot-i term
+    carries a factor Gamma(i*alpha + 1), so a correct solution can read
+    large limits at high degree.  SIR at alpha 1 reads a largest limit of
+    1.1e-5 at degree 40, 8.8e26 at degree 80 and 1.3e116 at degree 160,
+    while its coefficients are right; a fixed threshold serves only at low
+    degree.  ROADMAP item 20 proposes the scaled residual.
 
     Raises:
         GridMismatchError: unless every series shares the problem's alpha and t0.
@@ -154,7 +137,9 @@ def _gamma_table(alpha: float, size: int) -> list[float]:
 
     `solve`, `build_defect` and `verify_defect_conditions` each build exactly
     one such table per call and read every Gamma value from it; nothing is
-    cached on a polynomial.  So a degree-n solve or check costs n + 1 calls.
+    cached on a polynomial.  `_defect` sizes its table to cover every series'
+    derivative and every limit index at once, so a degree-n solve or check
+    costs n + 1 calls, whatever the number of equations.
 
     Raises:
         OverflowError: if an entry is not a finite double; the message names
@@ -178,8 +163,7 @@ def _defect(
 
     The series are composed first, so `compose_series`'s errors come before
     any Gamma value; a system with no equations gives ([], []).  Otherwise g
-    is one `_gamma_table` of max(size, longest series) entries, which serves
-    every series' derivative, so a defect costs one `gamma` call per entry.
+    is one `_gamma_table` of max(size, longest series) entries.
     Each derivative is one `fracpoly._caputo_step` on a plain float list, the
     kernel `caputo_derivative` also wraps, and the float operations are those of
     `add_scaled(p.caputo_derivative(), f_j, 1.0, -1.0).truncated(max_degree)`,

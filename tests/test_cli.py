@@ -14,7 +14,7 @@ import pytest
 
 from fracseries import (Monomial, PolynomialVectorField, SeriesProblem, cli,
                         evaluate_field, rk4_integrate, sir_model, solve)
-from fracseries.metrics import TableRow
+from fracseries.metrics import TableRow, default_sample_times
 from sir_reference import ABS_ERROR_AT_1, COEFFS_DEG9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -391,6 +391,18 @@ class TestInvalidInputWritesNothing:
                              "samples_alpha_0.5.csv\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value, message", [
+        ("1,2", "--initial for the sir model needs 3 values"),
+        ("1,2,3,4", "--initial for the sir model needs 3 values"),
+        ("a,b,c", "bad --initial value: could not convert string to float: 'a'"),
+        ("620,,70", "bad --initial value: could not convert string to float: ''"),
+    ])
+    def test_initial_that_is_not_three_numbers(self, tmp_path: Path, capsys, value, message):
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--initial", value, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_conformable_beta(self, tmp_path: Path):
         out = tmp_path / "out" / "report.csv"
         cp = run_cli("conformable", "--beta", "nan", "--alpha", "0.5", "--out", str(out))
@@ -517,6 +529,31 @@ class TestCompare:
                          "--out-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
         assert len(read_rows(tmp_path / "compare_S.csv")) == 11
+
+    @pytest.mark.parametrize("t0", [7e14, -1e15, 1e16, 1e308])
+    def test_model_t0_too_large_for_the_sample_times(self, tmp_path: Path, monkeypatch,
+                                                      capsys, t0):
+        # From |t0| of about 2^49, t0 + i/10 rounds to repeated times (7e14) or
+        # to t0 itself (1e16), which RK4 used to report in its own terms.
+        _stand_in(monkeypatch, "solve")
+        model = tmp_path / "far.json"
+        model.write_text(SHIPPED_SIR.read_text().replace('"t0": 0.0', f'"t0": {t0!r}', 1))
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--model", str(model), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the model t0 {t0} is too large for compare: its sample times "
+            "t0 + i/10 (i = 0..10) do not survive rounding at that magnitude\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t0", [1e12, 5e14, -(2.0**49)])
+    def test_model_t0_below_the_limit_accepted(self, tmp_path: Path, capsys, t0):
+        model = tmp_path / "far.json"
+        model.write_text(SHIPPED_SIR.read_text().replace('"t0": 0.0', f'"t0": {t0!r}', 1))
+        assert cli.main(["compare", "--model", str(model), "--degree", "2", "--rk-step", "0.1",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        times = [float(row["t"]) for row in read_rows(tmp_path / "compare_S.csv")]
+        assert times == default_sample_times(t0)
 
     @pytest.mark.parametrize("names", [["a b", "a_b"], ["a/b", "a:b"]])
     def test_variables_sharing_an_output_file_rejected(self, tmp_path: Path, names):

@@ -57,6 +57,12 @@ class TestConstruction:
     def test_coefficient_beyond_degree_is_zero(self):
         assert fp(0.5, 0.0, 3.0).coefficient(7) == 0.0
 
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_negative_coefficient_index_rejected(self, k):
+        # Without the check, coefficient(-1) would read the last coefficient.
+        with pytest.raises(IndexError, match=f"^negative grid index {k}$"):
+            fp(0.5, 0.0, 3.0, 4.0).coefficient(k)
+
     def test_coefficients_are_coerced_to_float(self):
         p = fp(0.5, 0.0, 3, True)
         assert p.coeffs == (3.0, 1.0)

@@ -203,6 +203,26 @@ class TestParseModelConfig:
         doc["equations"][1].append({"coeff": 1.0, "powers": [9_999, 1, 0]})
         assert parse_model_config(json.dumps(doc)).equations[1][2].state_powers == (9_999, 1, 0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("variables", [], "'variables' must be a non-empty array of strings"),
+            ("variables", "SIR", "'variables' must be a non-empty array of strings"),
+            ("variables", ["S", 1, "R"], "'variables' must be a non-empty array of strings"),
+            ("equations", [[], {"coeff": 1.0, "powers": [0, 1, 0]}, []],
+             "equation 1 must be an array of terms"),
+            ("equations", [[], [], "I"], "equation 2 must be an array of terms"),
+        ],
+        ids=["no-variables", "variables-string", "variable-not-string", "equation-object",
+             "equation-string"],
+    )
+    def test_malformed_array_rejected(self, field, value, message):
+        doc = json.loads(SHIPPED_SIR.read_text())
+        doc[field] = value
+        with pytest.raises(ModelConfigError) as raised:
+            parse_model_config(json.dumps(doc))
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("count", [2, 4])
     def test_wrong_equation_count_rejected(self, count):
         doc = json.loads(SHIPPED_SIR.read_text())
