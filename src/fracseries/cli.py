@@ -32,7 +32,7 @@ from .conformable import discrepancy_report
 from .field import PolynomialVectorField
 from .metrics import TableRow, comparison_table, default_sample_times
 from .models import ModelConfigError, ModelSpec, parse_model_config, sir_model
-from .rk4 import _GRID_TOLERANCE, rk4_integrate
+from .rk4 import _GRID_TOLERANCE, _strictly_increasing, rk4_integrate
 from .solver import SeriesProblem, SeriesSolution, solve
 
 
@@ -60,6 +60,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 
@@ -223,8 +226,8 @@ def _cmd_compare(args: argparse.Namespace) -> Output:
     # Past |t0| of about 2^49 the rounding of t0 + i/10 merges sample times or
     # stretches the window, which `rk4_integrate` would reject in its own terms.
     sample_times = default_sample_times(spec.t0)
-    if abs(sample_times[-1] - spec.t0 - 1.0) > _GRID_TOLERANCE or not all(
-            a < b for a, b in zip(sample_times, sample_times[1:])):
+    if (abs(sample_times[-1] - spec.t0 - 1.0) > _GRID_TOLERANCE
+            or not _strictly_increasing(sample_times)):
         raise UsageError(f"the model t0 {spec.t0} is too large for compare: its sample "
                          "times t0 + i/10 (i = 0..10) do not survive rounding at that magnitude")
     field = spec.field()
@@ -261,7 +264,11 @@ def _sample_grid(t0: float, t_end: float, samples: int) -> list[float]:
     if not math.isfinite(span):
         raise UsageError(f"--t-end {t_end} lies too far from the model t0 {t0}: "
                          "the sample span overflows")
-    return [t0 + span * (k / samples) for k in range(samples + 1)]
+    times = [t0 + span * (k / samples) for k in range(samples + 1)]
+    if not _strictly_increasing(times):
+        raise UsageError(f"--t-end {t_end} and --samples {samples} give sample times from "
+                         f"the model t0 {t0} that repeat after rounding")
+    return times
 
 
 def _coefficients(spec: ModelSpec, solution: SeriesSolution) -> tuple[str, list]:

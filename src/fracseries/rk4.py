@@ -17,6 +17,11 @@ from .field import PolynomialVectorField, evaluate_field
 _GRID_TOLERANCE = 1e-12
 
 
+def _strictly_increasing(times) -> bool:
+    """The one rule for a time grid, here and for the CLI's sample times."""
+    return all(a < b for a, b in zip(times, times[1:]))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States of one width, recorded on a uniform time grid."""
@@ -27,7 +32,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if not all(a < b for a, b in zip(self.times, self.times[1:])):
+        if not _strictly_increasing(self.times):
             raise ValueError("times must be strictly increasing")
         if len(set(map(len, self.states))) > 1:
             raise ValueError("states must all have the same width")

@@ -369,6 +369,25 @@ class TestInvalidInputWritesNothing:
         assert cp.stderr == ("error: --t-end 1e+308 lies too far from the model t0 -1e+308: "
                              "the sample span overflows\n")
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("t0, t_end, samples", [(7e14, "700000000000001", "10"),
+                                                    (None, "1e-322", "100")])
+    def test_sample_times_that_repeat_after_rounding(self, tmp_path: Path, monkeypatch,
+                                                     capsys, command, t0, t_end, samples):
+        # Both runs once exited 0 with repeated t rows in samples.csv.
+        _stand_in(monkeypatch, "solve")
+        out = tmp_path / "out"
+        args = _bound_args(command, "--t-end", t_end, out) + ["--samples", samples]
+        if t0 is not None:
+            model = tmp_path / "far.json"
+            model.write_text(SHIPPED_SIR.read_text().replace('"t0": 0.0', f'"t0": {t0!r}', 1))
+            args += ["--model", str(model)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: --t-end {float(t_end)} and --samples {samples} give sample times from "
+            f"the model t0 {t0 or 0.0} that repeat after rounding\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["", ".", "..", "sub/..", "sub/", "sub/.", "/"])
     def test_conformable_out_that_names_no_file(self, tmp_path: Path, monkeypatch, capsys,
                                                 value):
@@ -743,6 +762,17 @@ class TestAtomicWrites:
         out = tmp_path / "o"
         assert cli.main(_cli_args(command, out)) == 1
         assert capsys.readouterr().err == "error: stand-in failure\n"
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_line_exit_1(self, tmp_path: Path, monkeypatch, capsys):
+        # MemoryError is none of the exceptions main maps, so it was a traceback.
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "solve", exhausted)
+        out = tmp_path / "o"
+        assert cli.main(_cli_args("solve", out)) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("fail", [_second_write_fails, _second_rename_fails])

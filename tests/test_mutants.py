@@ -8,7 +8,7 @@ equivalent to the original.  Two oracles judge the result:
 
 - `verify_defect_conditions` flags a run whose largest limit is not at most
   THRESHOLD;
-- at alpha 1, the exact recursion of `exact_reference` flags any
+- at alpha 1, the exact recursion of `series_reference` flags any
   coefficient farther from the exact one than `solve`'s rounding allows.
 
 The unmutated plan passes both on every case, so the table also guards
@@ -28,7 +28,7 @@ import pytest
 
 from fracseries import PolynomialVectorField, SeriesProblem, solve, verify_defect_conditions
 
-from exact_reference import rounding_misses
+from series_reference import rounding_misses
 from test_golden import FIELDS
 
 THRESHOLD = 1e-3

@@ -20,7 +20,7 @@ from fracseries import (  # noqa: E402
     solve,
 )
 
-from exact_reference import rounding_misses  # noqa: E402
+from series_reference import majorant, rounding_misses  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -77,22 +77,9 @@ def test_degree_n_solution_is_prefix_of_degree_n_plus_one(problem):
 @SETTINGS
 @given(problems(conservative=True))
 def test_conservative_fields_keep_coefficient_sums_at_zero(problem):
-    # The same problem with every coefficient and initial value replaced by its
-    # absolute value majorizes each product and sum that `solve` forms, so
-    # its coefficients bound the rounding error of the sums.
-    majorant = dataclasses.replace(
-        problem,
-        field=dataclasses.replace(
-            problem.field,
-            equations=tuple(
-                tuple(dataclasses.replace(m, coeff=abs(m.coeff)) for m in eq)
-                for eq in problem.field.equations
-            ),
-        ),
-        y0=tuple(abs(v) for v in problem.y0),
-    )
+    # The majorant's coefficients bound the rounding error of the sums.
     series = solve(problem).series
-    bound = solve(majorant).series
+    bound = solve(majorant(problem)).series
     for i in range(1, problem.degree + 1):
         total = math.fsum(s.coeffs[i] for s in series)
         scale = math.fsum(b.coeffs[i] for b in bound)

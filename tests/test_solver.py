@@ -26,6 +26,7 @@ from fracseries import (
     verify_defect_conditions,
 )
 
+from series_reference import coefficients
 from sir_reference import COEFFS_DEG9, INITIAL
 
 ML_FIELD = PolynomialVectorField(
@@ -881,26 +882,6 @@ def test_solve_at_degree_171_alpha_one_overflows(sir_spec):
         build_defect(problem.field, series, 170)
 
 
-def _mpmath_sir(mpmath, alpha, degree, p1, p2, y0):
-    """50-digit SIR coefficients, written from the model equations alone.
-
-    c_i = Gamma((i-1)a+1) / Gamma(ia+1) * [f(c)]_(i-1), where S*I is the
-    Cauchy product of the coefficient lists. Inputs are the exact values of
-    the doubles the solver receives.
-    """
-    with mpmath.workdps(50):
-        a, p1, p2 = mpmath.mpf(alpha), mpmath.mpf(p1), mpmath.mpf(p2)
-        s, i_, r = ([mpmath.mpf(v)] for v in y0)
-        for i in range(1, degree + 1):
-            k = i - 1
-            si = mpmath.fsum(s[m] * i_[k - m] for m in range(k + 1))
-            ratio = mpmath.gamma(k * a + 1) / mpmath.gamma(i * a + 1)
-            s.append(-ratio * p1 * si)
-            i_.append(ratio * (p1 * si - p2 * i_[k]))
-            r.append(ratio * p2 * i_[k])
-        return s, i_, r
-
-
 @pytest.mark.parametrize(
     "alpha, bound", [(0.25, 5e-12), (0.5, 5e-12), (0.75, 1e-14), (1.0, 1e-14)]
 )
@@ -912,7 +893,12 @@ def test_sir_degree80_matches_mpmath_recursion(sir_spec, alpha, bound):
         field=sir_spec.field(), y0=sir_spec.initial, alpha=alpha, t0=0.0, degree=80
     )
     solution = solve(problem)
-    exact = _mpmath_sir(mpmath, alpha, 80, 0.001, 0.072, sir_spec.initial)
+    # 50-digit coefficients from the exact values of the doubles `solve` receives.
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        exact = coefficients(problem.field, problem.y0, 80,
+                             lambda i: mpmath.gamma((i - 1) * a + 1) / mpmath.gamma(i * a + 1),
+                             mpmath.mpf)
     err = max(
         abs((c - e) / e)
         for series, ref in zip(solution.series, exact)
