@@ -7,9 +7,9 @@ command's result in comments: `# exit N` ends the command line, and each
 comment line under it is either a file it writes with that file's header
 line (`# out/samples.csv: t,S,I,R`) or one of its stderr lines
 (`# error: ...`, `# warning: ...`), verbatim and in order.  A command
-writes exactly the files stated, so a failing one writes nothing.  Every
-`error:` or `warning:` line that README quotes elsewhere must be one of
-these stated lines.
+creates exactly the files stated and their directories, so a failing one
+creates nothing.  Every `error:` or `warning:` line that README quotes
+elsewhere must be one of these stated lines.
 """
 
 import re
@@ -71,8 +71,9 @@ def test_command_does_what_readme_states(tmp_path: Path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     assert cli.main(shlex.split(args)) == code
     assert capsys.readouterr().err == "".join(line + "\n" for line in stderr)
-    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
-    assert written == sorted([*files, "sir.json"])
+    created = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    folders = {str(d) for name in files for d in Path(name).parents[:-1]}
+    assert created == sorted({*files, *folders, "sir.json"})
     for name, header in files.items():
         assert (tmp_path / name).read_text().split("\n", 1)[0] == header
 
