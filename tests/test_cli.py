@@ -5,8 +5,7 @@ its files under `tmp_path`.  An exception that `main` lets through fails the
 test itself, so no test looks for a traceback.  A child interpreter starts
 only where the interpreter is the subject: the `python -m fracseries` entry
 point, the modules that importing the CLI loads, and the output bits under
-other Pythons.  Commands that README states with their results run in
-tests/test_readme.py and are not restated here.
+other Pythons.
 """
 
 import argparse
@@ -26,7 +25,7 @@ import pytest
 from fracseries import (Monomial, PolynomialVectorField, SeriesProblem, cli,
                         evaluate_field, rk4_integrate, sir_model, solve)
 from fracseries.metrics import TableRow, default_sample_times
-from sir_reference import ABS_ERROR_AT_1
+from sir_reference import ABS_ERROR_AT_1, COEFFS_DEG9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_SIR = REPO_ROOT / "sir.json"
@@ -46,6 +45,21 @@ def assert_error_line(capsys, out: Path) -> str:
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
     return err
+
+
+def test_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in COMMANDS)
+
+
+def test_missing_command_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fracseries ")
 
 
 def test_python_m_fracseries(tmp_path: Path):
@@ -91,6 +105,15 @@ def test_option_strings_per_command():
 
 
 class TestSolve:
+    def test_degree9_coefficients(self, tmp_path: Path):
+        assert cli.main(["solve", "--model", "sir", "--alpha", "1", "--degree", "9",
+                         "--t-end", "1", "--samples", "10", "--out-dir", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "coefficients.csv")
+        assert len(rows) == 30
+        for row in rows:
+            want = COEFFS_DEG9[row["variable"]][int(row["index"])]
+            assert float(row["coefficient"]) == pytest.approx(want, rel=1e-9)
+
     def test_samples_header_and_grid(self, tmp_path: Path):
         assert cli.main(["solve", "--degree", "4", "--samples", "5",
                          "--out-dir", str(tmp_path)]) == 0
@@ -111,6 +134,10 @@ class TestSolve:
         rows = read_rows(tmp_path / "coefficients.csv")
         s2 = next(r for r in rows if r["variable"] == "S" and r["index"] == "2")
         assert float(s2["coefficient"]) == pytest.approx(-3.3356, rel=1e-9)
+
+    def test_model_file(self, tmp_path: Path):
+        assert cli.main(["solve", "--model", str(SHIPPED_SIR), "--degree", "2",
+                         "--out-dir", str(tmp_path)]) == 0
 
     def test_builtin_overrides(self, tmp_path: Path):
         assert cli.main(["solve", "--p1", "0.002", "--p2", "0.1", "--initial", "100,5,0",
@@ -133,6 +160,18 @@ class TestSolve:
         assert [float(r["coefficient"]) for r in rows] == [
             c for s in expected.series for c in s.coeffs
         ]
+
+    def test_overrides_rejected_for_model_files(self, tmp_path: Path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--model", str(SHIPPED_SIR), "--p1", "0.5",
+                         "--out-dir", str(out)]) == 2
+        assert "builtin" in assert_error_line(capsys, out)
+
+    def test_missing_model_file(self, tmp_path: Path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--model", str(tmp_path / "nope.json"),
+                         "--out-dir", str(out)]) == 2
+        assert_error_line(capsys, out)
 
     @pytest.mark.parametrize("kind", ["directory", "latin-1"])
     def test_unreadable_model_file_is_config_error(self, tmp_path: Path, capsys, kind):
@@ -162,6 +201,19 @@ class TestSolve:
         assert capsys.readouterr().err == line
         assert cli.main(["solve", "--model", str(bad), "--out-dir", str(tmp_path / "b")]) == 2
         assert capsys.readouterr().err == line
+
+    def test_deterministic_output(self, tmp_path: Path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert cli.main(["solve", "--degree", "9", "--out-dir", str(out)]) == 0
+        for name in ("coefficients.csv", "samples.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_unrepresentable_gamma_is_clean_exit_1(self, tmp_path: Path, capsys):
+        # Gamma(172) exceeds the double range, so the Gamma table cannot be built.
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--alpha", "1", "--degree", "200", "--out-dir", str(out)]) == 1
+        assert_error_line(capsys, out)
 
     def test_overflowing_state_power_is_clean_exit_1(self, tmp_path: Path, capsys):
         # `y ** 2` raises OverflowError for a finite y past about 1.3e154,
@@ -272,6 +324,7 @@ class TestInvalidInputWritesNothing:
         [
             ("solve", "--initial", "nan,10,70"),
             ("solve", "--initial", "620,1e999,70"),
+            ("solve", "--p1", "nan"),
             ("solve", "--p2", "inf"),
             ("solve", "--alpha", "nan"),
             ("solve", "--t-end", "1e999"),
@@ -284,9 +337,8 @@ class TestInvalidInputWritesNothing:
         assert cli.main([*flags, "--out-dir", str(out)]) == 2
         assert flags[-2] in assert_error_line(capsys, out)
 
-    @pytest.mark.parametrize("command, flag, value", [
-        ("solve", "--samples", "0"), ("sweep", "--t-end", "-1"), ("sweep", "--samples", "0"),
-    ])
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--t-end", "-1"), ("--samples", "0")])
     def test_bad_sample_grid_writes_nothing(self, tmp_path: Path, capsys, command, flag, value):
         out = tmp_path / "out"
         assert cli.main(_bound_args(command, flag, value, out)) == 2
@@ -338,7 +390,7 @@ class TestInvalidInputWritesNothing:
             f"the model t0 {t0 or 0.0} that repeat after rounding\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["", ".", "..", "sub/..", "sub/.", "/"])
+    @pytest.mark.parametrize("value", ["", ".", "..", "sub/..", "sub/", "sub/.", "/"])
     def test_conformable_out_that_names_no_file(self, tmp_path: Path, monkeypatch, capsys,
                                                 value):
         # Run one level down, so that `..` stays inside tmp_path.
@@ -360,7 +412,9 @@ class TestInvalidInputWritesNothing:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value, message", [
+        ("1,2", "--initial for the sir model needs 3 values"),
         ("1,2,3,4", "--initial for the sir model needs 3 values"),
+        ("a,b,c", "bad --initial value: could not convert string to float: 'a'"),
         ("620,,70", "bad --initial value: could not convert string to float: ''"),
     ])
     def test_initial_that_is_not_three_numbers(self, tmp_path: Path, capsys, value, message):
@@ -473,6 +527,11 @@ class TestCompare:
         # an order of magnitude of the published table value.
         abs_err = float(last["abs_err"])
         assert ABS_ERROR_AT_1["S"] / 10 <= abs_err <= ABS_ERROR_AT_1["S"] * 10
+
+    def test_bad_rk_step_rejected(self, tmp_path: Path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["compare", "--rk-step", "0.03", "--out-dir", str(out)]) == 2
+        assert "0.1" in assert_error_line(capsys, out)
 
     def test_rk_step_just_off_the_sample_grid_rejected(self, tmp_path: Path, capsys):
         # Two steps miss 0.1 by 4.0e-12: above the 1e-12 grid tolerance, below 1e-11.
