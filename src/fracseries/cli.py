@@ -343,6 +343,3 @@ def _first_nonfinite_line(rows: list[Row]) -> int | None:
 def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

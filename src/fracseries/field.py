@@ -145,6 +145,16 @@ class FieldPlan:
         `multiply_truncated`'s order; each equation sums its terms from 0.0
         in order, as `compose_series` does.
 
+        A node's sum takes two products per loop pass: `zip(a, b, a, b)` over
+        one iterator of the parent's list and one of y_j's reversed list, with
+        `acc = acc + l0 * r0 + l1 * r1`, which is the two additions of
+        `acc += l * r` in the same order.  When step i's node sums run, the
+        parent's list and y_j's each hold exactly i slots: y lists grow only
+        in the equation phase, and a parent is appended before its children.
+        So the pairs cover every product when i is even; when i is odd (`i & 1`)
+        zip drops the last one, parent slot i-1 times y_j slot 0, and it is
+        added after the loop.
+
         `multiply_truncated` skips zero parent slots.  The node sum does not
         test each slot: it sums every product, and sums again with the skip
         only when the result is NaN.  The bits are the same.  A sum from
@@ -166,8 +176,12 @@ class FieldPlan:
         lines += [" for i in range(1, len(g)):", "  ratio = g[i - 1] / g[i]"]
         for k, (parent, j) in enumerate(self.nodes[1:], 1):
             if parent != 0:
-                loop = f"for left, right in zip({name[parent]}, reversed(y{j})):"
-                lines += ["  acc = 0.0", f"  {loop}", "   acc += left * right",
+                p = name[parent]
+                loop = f"for left, right in zip({p}, reversed(y{j})):"
+                lines += ["  acc = 0.0", f"  a, b = iter({p}), reversed(y{j})",
+                          "  for l0, r0, l1, r1 in zip(a, b, a, b):",
+                          "   acc = acc + l0 * r0 + l1 * r1",
+                          "  if i & 1:", f"   acc += {p}[-1] * y{j}[0]",
                           "  if acc != acc:", "   acc = 0.0", f"   {loop}",
                           "    if left != 0.0:", "     acc += left * right", f"  s{k}.append(acc)"]
         for j, terms in enumerate(self.terms):

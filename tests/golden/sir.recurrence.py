@@ -6,8 +6,11 @@ def recurrence(init, g):
  for i in range(1, len(g)):
   ratio = g[i - 1] / g[i]
   acc = 0.0
-  for left, right in zip(y0, reversed(y1)):
-   acc += left * right
+  a, b = iter(y0), reversed(y1)
+  for l0, r0, l1, r1 in zip(a, b, a, b):
+   acc = acc + l0 * r0 + l1 * r1
+  if i & 1:
+   acc += y0[-1] * y1[0]
   if acc != acc:
    acc = 0.0
    for left, right in zip(y0, reversed(y1)):

@@ -6,8 +6,11 @@ def recurrence(init, g):
  for i in range(1, len(g)):
   ratio = g[i - 1] / g[i]
   acc = 0.0
-  for left, right in zip(y0, reversed(y0)):
-   acc += left * right
+  a, b = iter(y0), reversed(y0)
+  for l0, r0, l1, r1 in zip(a, b, a, b):
+   acc = acc + l0 * r0 + l1 * r1
+  if i & 1:
+   acc += y0[-1] * y0[0]
   if acc != acc:
    acc = 0.0
    for left, right in zip(y0, reversed(y0)):
@@ -15,8 +18,11 @@ def recurrence(init, g):
      acc += left * right
   s2.append(acc)
   acc = 0.0
-  for left, right in zip(s2, reversed(y1)):
-   acc += left * right
+  a, b = iter(s2), reversed(y1)
+  for l0, r0, l1, r1 in zip(a, b, a, b):
+   acc = acc + l0 * r0 + l1 * r1
+  if i & 1:
+   acc += s2[-1] * y1[0]
   if acc != acc:
    acc = 0.0
    for left, right in zip(s2, reversed(y1)):

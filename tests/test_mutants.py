@@ -45,7 +45,10 @@ MUTANTS = {
     "ratio inverted": lambda s: s.replace(RATIO, "ratio = g[i] / g[i - 1]"),
     "ratio one index late from i = 2":
         lambda s: s.replace(RATIO, f"{RATIO} if i == 1 else g[i - 2] / g[i - 1]"),
-    "convolution not reversed": lambda s: re.sub(r"reversed\((y\d+)\)", r"\1", s),
+    # A forward sum of P[m] * y[m]: one shared iterator keeps the pairs in
+    # step, and the odd step's last product pairs the last slots.
+    "convolution not reversed": lambda s: re.sub(
+        r"reversed\((y\d+)\)", r"iter(\1)", re.sub(r"\b(y\d+)\[0\]", r"\1[-1]", s)),
     "first term's slot one index late from i = 3":
         lambda s: re.sub(r"(acc \+= c\d+_\d+ \* \w+)\[i - (\d+)\]", r"\1[i - \2 - (i >= 3)]", s,
                          count=1),
